@@ -11,7 +11,7 @@
 //! Each measurement prints one machine-readable JSON line:
 //!
 //! ```text
-//! {"net":"loft","scenario":"uniform","load":0.05,"threads":1,
+//! {"net":"loft","scenario":"uniform","load":0.05,
 //!  "jobs":1,"forked_warmup":true,
 //!  "sim_cycles":23000,"skipped_cycles":0,"wall_secs":0.0123,
 //!  "cycles_per_sec":1951219.5,
@@ -37,10 +37,10 @@
 //! Telemetry rows (`--telemetry`) always run full warmups and report
 //! `forked_warmup: false`.
 //!
-//! `--jobs N` measures up to `N` points concurrently on a
-//! work-stealing pool (whole simulations, unchanged results — rows
-//! still print in matrix order). Jobs are clamped so `jobs × threads`
-//! never oversubscribes the machine, and `--jobs` > 1 refuses to
+//! `--jobs N` measures up to `N` points concurrently, one whole
+//! simulation per lane (unchanged results — rows still print in
+//! matrix order). Jobs are clamped to the machine's cores, and
+//! `--jobs` > 1 refuses to
 //! combine with `--alloc-budget`: the allocation counter is
 //! process-global, so concurrent points would pollute each other's
 //! rates. Wall-clock rates from concurrent rows reflect a shared
@@ -93,12 +93,6 @@
 //! percent-level drift — wall-clock gates on shared runners cannot do
 //! better).
 //!
-//! `--threads N` steps every network with `N` shards on the
-//! persistent worker pool (see `noc_sim::par`; default 1). Results
-//! are bit-identical at every value — only the wall clock moves — and
-//! each JSON row records the setting in its `threads` field, so
-//! single- vs multi-thread rows are directly comparable.
-//!
 //! `skipped_cycles` counts simulated cycles covered by the engine's
 //! quiescence fast-forward (closed-form jumps over globally idle
 //! spans) instead of per-cycle stepping; results are bit-identical
@@ -114,11 +108,11 @@
 use loft::LoftConfig;
 use loft_bench::sweep::clamp_jobs;
 use loft_bench::{
-    checkpoint_gsf, checkpoint_loft, checkpoint_wormhole, run_gsf_info, run_gsf_telemetry_info,
-    run_loft_info, run_loft_telemetry_info, run_wormhole_info, run_wormhole_telemetry_info, SEED,
+    checkpoint_gsf, checkpoint_loft, checkpoint_wormhole, pool_map, run_gsf_info,
+    run_gsf_telemetry_info, run_loft_info, run_loft_telemetry_info, run_wormhole_info,
+    run_wormhole_telemetry_info, SEED,
 };
 use noc_gsf::GsfConfig;
-use noc_sim::par::{pool_map, WorkerPool};
 use noc_sim::telemetry::TelemetryReport;
 use noc_sim::{Checkpoint, Network, RunConfig, RunInfo, SimReport};
 use noc_traffic::{Scenario, Workload};
@@ -144,7 +138,7 @@ fn run(smoke: bool) -> RunConfig {
     }
 }
 
-/// One cell of the perf matrix, dispatchable on a worker pool.
+/// One cell of the perf matrix, dispatchable on a [`pool_map`] lane.
 #[derive(Clone, Copy)]
 struct Spec {
     net: &'static str,
@@ -153,10 +147,9 @@ struct Spec {
 }
 
 /// Shared measurement settings (everything `Copy` so specs can run on
-/// pool workers).
+/// any lane).
 #[derive(Clone, Copy)]
 struct Ctx {
-    threads: usize,
     jobs: usize,
     iters: u32,
     cfg: RunConfig,
@@ -217,7 +210,7 @@ fn render_row(
     let allocs = allocs_per_cycle.map_or_else(|| "null".to_string(), |a| format!("{a:.4}"));
     let line = format!(
         "{{\"net\":\"{}\",\"scenario\":\"{}\",\"load\":{},\
-         \"threads\":{},\"jobs\":{},\"forked_warmup\":{forked_warmup},\
+         \"jobs\":{},\"forked_warmup\":{forked_warmup},\
          \"sim_cycles\":{sim_cycles},\"skipped_cycles\":{},\
          \"wall_secs\":{wall:.6},\
          \"cycles_per_sec\":{cycles_per_sec:.1},\"packets_delivered\":{packets},\
@@ -228,7 +221,6 @@ fn render_row(
         spec.net,
         spec.scenario,
         spec.load,
-        ctx.threads,
         ctx.jobs,
         info.skipped_cycles,
         packets as f64 / wall,
@@ -356,10 +348,7 @@ fn run_spec(spec: Spec, ctx: Ctx) -> Row {
     let (cfg, ff) = (ctx.cfg, ctx.fast_forward);
     match spec.net {
         "loft" => {
-            let net_cfg = LoftConfig {
-                threads: ctx.threads,
-                ..LoftConfig::default()
-            };
+            let net_cfg = LoftConfig::default();
             if ctx.with_telemetry {
                 measure_full(spec, ctx, |hook| {
                     let (r, t, i) =
@@ -377,10 +366,7 @@ fn run_spec(spec: Spec, ctx: Ctx) -> Row {
             }
         }
         "gsf" => {
-            let net_cfg = GsfConfig {
-                threads: ctx.threads,
-                ..GsfConfig::default()
-            };
+            let net_cfg = GsfConfig::default();
             if ctx.with_telemetry {
                 measure_full(spec, ctx, |hook| {
                     let (r, t, i) = run_gsf_telemetry_info(&scenario, net_cfg, cfg, SEED, ff, hook);
@@ -397,10 +383,7 @@ fn run_spec(spec: Spec, ctx: Ctx) -> Row {
             }
         }
         "wormhole" => {
-            let net_cfg = WormholeConfig {
-                threads: ctx.threads,
-                ..WormholeConfig::default()
-            };
+            let net_cfg = WormholeConfig::default();
             if ctx.with_telemetry {
                 measure_full(spec, ctx, |hook| {
                     let (r, t, i) =
@@ -433,17 +416,12 @@ fn main() {
         eprintln!("--alloc-budget requires --features alloc-count (nothing to gate on)");
         std::process::exit(1);
     }
-    let threads: usize = args.iter().position(|a| a == "--threads").map_or(1, |i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .expect("--threads takes a positive integer")
-    });
     let jobs: usize = args.iter().position(|a| a == "--jobs").map_or(1, |i| {
         args.get(i + 1)
             .and_then(|v| v.parse().ok())
             .expect("--jobs takes a positive integer")
     });
-    let jobs = clamp_jobs(jobs, threads);
+    let jobs = clamp_jobs(jobs);
     if budget.is_some() && jobs > 1 {
         eprintln!(
             "--alloc-budget cannot run with --jobs {jobs}: the allocation counter is \
@@ -488,7 +466,6 @@ fn main() {
         .unwrap_or_default();
 
     let ctx = Ctx {
-        threads,
         jobs,
         iters: if smoke { 1 } else { 5 },
         cfg: run(smoke),
@@ -520,14 +497,7 @@ fn main() {
             })
         })
         .collect();
-    let rows: Vec<Row> = if jobs > 1 {
-        // The mapping thread participates in the claim loop, so
-        // `jobs`-way parallelism wants `jobs - 1` workers.
-        let mut pool = WorkerPool::new(jobs - 1);
-        pool_map(&mut pool, specs, |spec| run_spec(spec, ctx))
-    } else {
-        specs.into_iter().map(|spec| run_spec(spec, ctx)).collect()
-    };
+    let rows: Vec<Row> = pool_map(jobs, specs, |spec| run_spec(spec, ctx));
     for row in &rows {
         println!("{}", row.line);
     }

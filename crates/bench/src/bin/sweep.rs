@@ -2,18 +2,17 @@
 //!
 //! Enumerates `{loft, gsf, wormhole} × {mesh, torus, ring} × traffic
 //! × load × ff-legs`, runs warmup once per base point and forks it
-//! per leg (see `noc_sim::checkpoint`), schedules whole simulations
-//! across a work-stealing pool, and streams one versioned JSON row
-//! per cell to stdout. Usage:
+//! per leg (see `noc_sim::checkpoint`), runs whole simulations
+//! concurrently, and streams one versioned JSON row per cell to
+//! stdout. Usage:
 //!
 //! ```text
-//! sweep [--jobs N] [--threads N] [--seed N]
+//! sweep [--jobs N] [--seed N]
 //!       [--smoke] [--no-fork] [--no-adaptive] [--selfcheck]
 //! ```
 //!
-//! * `--jobs N` — concurrent simulations (clamped so `jobs × threads`
-//!   never oversubscribes the machine).
-//! * `--threads N` — shards per simulation.
+//! * `--jobs N` — concurrent simulations (clamped to the machine's
+//!   cores).
 //! * `--smoke` — the CI 2×2 sub-matrix with tiny phase windows.
 //! * `--no-fork` — re-warm every leg from scratch (the baseline the
 //!   forked path is measured against).
@@ -49,9 +48,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = parse_flag(&args, "--smoke");
     let selfcheck = parse_flag(&args, "--selfcheck");
-    let threads = parse_value(&args, "--threads", 1_usize).max(1);
     let seed = parse_value(&args, "--seed", SEED);
-    let jobs = clamp_jobs(parse_value(&args, "--jobs", 1_usize), threads);
+    let jobs = clamp_jobs(parse_value(&args, "--jobs", 1_usize));
     let opts = SweepOptions {
         jobs,
         fork_warmup: !parse_flag(&args, "--no-fork"),
@@ -60,14 +58,13 @@ fn main() {
     };
 
     let matrix = if smoke {
-        smoke_matrix(threads, seed)
+        smoke_matrix(seed)
     } else {
-        full_matrix(threads, seed)
+        full_matrix(seed)
     };
     let cells: usize = matrix.iter().map(|g| g.ff_legs.len()).sum();
     eprintln!(
-        "sweep: {} groups / {} cells, jobs={jobs}, threads={threads}, \
-         forked_warmup={}, smoke={smoke}",
+        "sweep: {} groups / {} cells, jobs={jobs}, forked_warmup={}, smoke={smoke}",
         matrix.len(),
         cells,
         opts.fork_warmup,

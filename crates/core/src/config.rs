@@ -56,10 +56,6 @@ pub struct LoftConfig {
     pub speculative_switching: bool,
     /// Enable local status reset (Section 4.3.2).
     pub local_status_reset: bool,
-    /// Shards stepped concurrently in the parallelizable phases of a
-    /// cycle (1 = single-threaded). Results are bit-identical at
-    /// every value; see `noc_sim::par`.
-    pub threads: usize,
 }
 
 impl LoftConfig {
@@ -167,7 +163,6 @@ impl Default for LoftConfig {
             la_flow_window: 16,
             speculative_switching: true,
             local_status_reset: true,
-            threads: 1,
         }
     }
 }

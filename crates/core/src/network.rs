@@ -50,22 +50,6 @@
 //! look-ahead hops cost `la_hop_latency` cycles. Virtual-credit
 //! returns are applied the cycle they are produced (the one-cycle
 //! wire is folded into the scheduling pipeline).
-//!
-//! # Parallel stepping
-//!
-//! With [`LoftConfig::threads`] > 1 the node range is partitioned
-//! into contiguous shards (see `noc_sim::par`) and the phases of a
-//! cycle that only touch node-local state run on all shards
-//! concurrently: slot advancement of the link schedulers, data
-//! quantum delivery, NIC data injection (with `injected_at` stamps
-//! deferred to the barrier), and look-ahead delivery into the channel
-//! queues. The phases that read or write *other* routers' state in
-//! the same cycle — data movement (downstream buffer credits),
-//! look-ahead scheduling (upstream virtual-credit returns), local
-//! status resets — stay serial, iterating shards in ascending order
-//! so the visit order is bit-identical to the single-threaded engine.
-//! LOFT therefore parallelizes only part of each cycle; the VC-based
-//! networks (`VcFabric`) parallelize the whole datapath.
 
 use std::collections::VecDeque;
 
@@ -73,7 +57,6 @@ use noc_sim::fabric::{
     debug_assert_delivered_once, DelayedWires, EjectTracker, LinkMap, LookaheadQueues, LOCAL, PORTS,
 };
 use noc_sim::flit::{FlowId, NodeId, Packet};
-use noc_sim::par::{partition, shard_map, SendPtr, ShardRange, WorkerPool};
 use noc_sim::routing::Direction;
 use noc_sim::slab::PacketRef;
 use noc_sim::telemetry::{BufKind, NoopProbe, Probe};
@@ -175,209 +158,6 @@ impl SourceNic {
     }
 }
 
-/// One shard's slice of the in-flight state: the wires, channel
-/// queues, and worklists that the parallel phases touch for nodes the
-/// shard owns.
-///
-/// Each structure spans the *global* index space but only the shard's
-/// own range is ever populated — serial phases route pushes to the
-/// owning shard (`shard_of`), so the parallel phases drain without
-/// any cross-shard access. Iterating shards in ascending order drains
-/// the same global ascending index sequence as a single structure
-/// would (shard ranges are contiguous), which is what keeps every
-/// arbitration decision bit-identical to the single-threaded engine.
-#[derive(Debug, Clone)]
-struct LoftShard<Pr: Probe> {
-    /// This shard's telemetry probe (a [`Probe::fork`] of the main
-    /// probe); records only the parallel-phase events of this shard's
-    /// node range, and is absorbed back in ascending shard order.
-    probe: Pr,
-    /// Data quanta in flight to this shard's input ports.
-    data_wires: DelayedWires<DataQuantum>,
-    /// Look-ahead flits in flight to this shard's input ports.
-    la_wires: DelayedWires<LaFlit>,
-    /// The look-ahead channel queues of this shard's output ports.
-    /// Per-instance arrival stamps only order entries *within* one
-    /// queue, and all pushes to a queue come from its node's shard in
-    /// preserved relative order, so per-shard counters are exact.
-    la_queues: LookaheadQueues<LaFlit>,
-    /// Nodes of this shard with `node_data_work > 0`.
-    data_node_work: ActiveSet,
-    /// Nodes of this shard with staged quanta awaiting injection.
-    stage_work: ActiveSet,
-    /// Packets whose first data quantum injected this slot; their
-    /// `injected_at` stamp is applied serially at the barrier (the
-    /// tracker is shared read-only during the parallel phase).
-    stamps: Vec<PacketRef>,
-}
-
-impl<Pr: Probe> LoftShard<Pr> {
-    fn new(n: usize, cfg: &LoftConfig, num_flows: usize, probe: Pr) -> Self {
-        LoftShard {
-            probe,
-            data_wires: DelayedWires::with_capacity(n * PORTS, cfg.dep_offset() as usize + 1),
-            la_wires: DelayedWires::with_capacity(n * PORTS, cfg.la_hop_latency as usize + 1),
-            la_queues: LookaheadQueues::new(n * PORTS, num_flows),
-            data_node_work: ActiveSet::new(n),
-            stage_work: ActiveSet::new(n),
-            stamps: Vec::with_capacity(n),
-        }
-    }
-}
-
-/// Which parallel phase [`LoftNetwork::run_phase`] dispatches.
-#[derive(Debug, Clone, Copy)]
-enum LoftPhase {
-    /// Slot-boundary data-plane work: advance every link scheduler
-    /// (for `slot > 0`), deliver arrived data quanta, inject staged
-    /// quanta from the NICs.
-    Data { slot: u64 },
-    /// Deliver arriving look-ahead flits into the channel queues.
-    Lookahead { now: u64 },
-}
-
-/// One shard's working view for a parallel phase: the shard's slices
-/// of the global per-node/per-link arrays plus its [`LoftShard`].
-/// Node-indexed slices are indexed `node - range.lo`; link-indexed
-/// slices `lidx - range.lo * PORTS`.
-#[derive(Debug)]
-struct LoftShardCtx<'a, Pr: Probe> {
-    range: ShardRange,
-    /// This shard's link schedulers (link range).
-    link_sched: &'a mut [LinkScheduler],
-    /// This shard's data-plane input ports (link range).
-    data_ports: &'a mut [DataPort],
-    /// This shard's source NICs (node range).
-    nics: &'a mut [SourceNic],
-    /// This shard's per-node data-work counters (node range).
-    node_data_work: &'a mut [u32],
-    aux: &'a mut LoftShard<Pr>,
-    /// Shared read-only during parallel phases; only the serial
-    /// barrier mutates packets (deferred `injected_at` stamps).
-    tracker: &'a EjectTracker,
-    cfg: LoftConfig,
-    link: LinkMap,
-}
-
-impl<Pr: Probe> LoftShardCtx<'_, Pr> {
-    fn run(&mut self, phase: LoftPhase) {
-        match phase {
-            LoftPhase::Data { slot } => self.data_phase(slot),
-            LoftPhase::Lookahead { now } => self.la_deliver(now),
-        }
-    }
-
-    /// The shard-local slice of the slot-boundary data-plane work:
-    /// advance the link schedulers, then deliver arrived quanta
-    /// ([`LoftNetwork`]'s former `data_deliver`), then stream staged
-    /// quanta into the routers (former `inject_data`). None of these
-    /// read another shard's state, so running them shard-interleaved
-    /// is indistinguishable from the serial all-links-then-all-nodes
-    /// order.
-    fn data_phase(&mut self, slot: u64) {
-        if slot > 0 {
-            for s in self.link_sched.iter_mut() {
-                s.advance_slot();
-            }
-        }
-        let LoftShardCtx {
-            range,
-            data_ports,
-            nics,
-            node_data_work,
-            aux,
-            tracker,
-            cfg,
-            ..
-        } = self;
-        let range = *range;
-        let base = range.lo * PORTS;
-        let LoftShard {
-            probe,
-            data_wires,
-            data_node_work,
-            stage_work,
-            stamps,
-            ..
-        } = &mut **aux;
-        data_wires.drain_due(slot, |widx, w| {
-            let key = (w.flow.index() as u32, w.qid);
-            data_ports[widx - base].record_arrival(key, w.spec, w.pref);
-            node_data_work[widx / PORTS - range.lo] += 1;
-            data_node_work.insert(widx / PORTS);
-        });
-        let mut cursor = range.lo;
-        while let Some(node) = stage_work.first_from(cursor) {
-            cursor = node + 1;
-            let pidx = node * PORTS + LOCAL - base;
-            if data_ports[pidx].nonspec_free == 0 {
-                probe.on_nic_stall(node);
-                continue;
-            }
-            let nic = &mut nics[node - range.lo];
-            let (key, pref) = *nic.staged.front().expect("stage_work implies staged");
-            nic.staged.pop_front();
-            if nic.staged.is_empty() {
-                stage_work.remove(node);
-            }
-            data_ports[pidx].nonspec_free -= 1;
-            if tracker.packet(pref).injected_at.is_none() {
-                stamps.push(pref);
-            }
-            data_wires.push(
-                node * PORTS + LOCAL,
-                slot + cfg.dep_offset(),
-                DataQuantum {
-                    flow: FlowId::new(key.0),
-                    qid: key.1,
-                    spec: false,
-                    pref,
-                },
-            );
-        }
-    }
-
-    /// Delivers arriving look-ahead flits into the look-ahead channel
-    /// queues, writing the input reservation tables (expectations).
-    ///
-    /// The channel queues are per-flow fair (see
-    /// `LoftNetwork::la_schedule`), so delivery is not
-    /// capacity-limited: the per-flow look-ahead window
-    /// (`la_flow_window`) already bounds how many flits any one flow
-    /// can pile up here. Every write lands at the receiving node, so
-    /// the pass is shard-local.
-    fn la_deliver(&mut self, now: u64) {
-        let LoftShardCtx {
-            range,
-            data_ports,
-            aux,
-            link,
-            ..
-        } = self;
-        let base = range.lo * PORTS;
-        let LoftShard {
-            la_wires,
-            la_queues,
-            ..
-        } = &mut **aux;
-        la_wires.drain_due(now, |widx, la| {
-            let (node, in_port) = (widx / PORTS, widx % PORTS);
-            let out_port = link.route(node, la.dst);
-            let res_idx =
-                data_ports[widx - base].la_arrive((la.flow.index() as u32, la.qid), out_port as u8);
-            la_queues.push(
-                node * PORTS + out_port,
-                la.flow.index(),
-                LaFlit {
-                    in_port: in_port as u8,
-                    res_idx,
-                    ..la
-                },
-            );
-        });
-    }
-}
-
 /// The LOFT network (LSF + FRS). See the crate and module docs.
 ///
 /// Generic over a telemetry [`Probe`]; the default [`NoopProbe`]
@@ -385,9 +165,7 @@ impl<Pr: Probe> LoftShardCtx<'_, Pr> {
 #[derive(Debug, Clone)]
 pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     cfg: LoftConfig,
-    /// The main telemetry probe: receives all serial-phase events
-    /// (scheduling, data movement, resets, packet lifecycle) plus the
-    /// absorbed per-shard forks on [`LoftNetwork::into_probe`].
+    /// The telemetry probe: every event of every phase lands here.
     probe: Pr,
     cycle: u64,
     link: LinkMap,
@@ -424,15 +202,17 @@ pub struct LoftNetwork<Pr: Probe = NoopProbe> {
     /// so only those events queue a check — idle and saturated links
     /// alike cost nothing per cycle.
     reset_check: ActiveSet,
-    // ---- sharded parallel stepping (see the module docs) ----------
-    /// Contiguous node ranges, one per shard.
-    ranges: Vec<ShardRange>,
-    /// Node index → owning shard index.
-    shard_of: Vec<u32>,
-    /// Per-shard in-flight state and worklists.
-    shards: Vec<LoftShard<Pr>>,
-    /// Persistent worker pool; present iff more than one shard.
-    pool: Option<WorkerPool>,
+    /// Nodes with `node_data_work > 0`.
+    data_node_work: ActiveSet,
+    /// Nodes with staged quanta awaiting injection.
+    stage_work: ActiveSet,
+    // ---- in-flight state ---------------------------------------------
+    /// Data quanta in flight to each input port, index `node * 5 + port`.
+    data_wires: DelayedWires<DataQuantum>,
+    /// Look-ahead flits in flight to each input port.
+    la_wires: DelayedWires<LaFlit>,
+    /// The look-ahead channel queues of every output port.
+    la_queues: LookaheadQueues<LaFlit>,
 }
 
 impl LoftNetwork {
@@ -492,15 +272,6 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             + cfg.nonspec_quanta() as u64
             + cfg.spec_quanta() as u64
             + cfg.la_flow_window as u64) as usize;
-        let ranges = partition(n, cfg.threads);
-        let shard_of = shard_map(&ranges);
-        let k = ranges.len();
-        // Each shard owns the in-flight state for its node range
-        // (wires pre-sized to the traversal delay: one quantum resp.
-        // look-ahead flit enters a link per slot resp. cycle).
-        let shards = (0..k)
-            .map(|_| LoftShard::new(n, &cfg, reservations_flits.len(), probe.fork()))
-            .collect();
         LoftNetwork {
             probe,
             link: LinkMap::new(cfg.topo, cfg.routing),
@@ -523,10 +294,13 @@ impl<Pr: Probe> LoftNetwork<Pr> {
             launch_work: ActiveSet::new(n),
             stale_links: ActiveSet::new(n * PORTS),
             reset_check: ActiveSet::new(n * PORTS),
-            pool: (k > 1).then(|| WorkerPool::new(k - 1)),
-            ranges,
-            shard_of,
-            shards,
+            data_node_work: ActiveSet::new(n),
+            stage_work: ActiveSet::new(n),
+            // Wires are pre-sized to the traversal delay: one quantum
+            // resp. look-ahead flit enters a link per slot resp. cycle.
+            data_wires: DelayedWires::with_capacity(n * PORTS, cfg.dep_offset() as usize + 1),
+            la_wires: DelayedWires::with_capacity(n * PORTS, cfg.la_hop_latency as usize + 1),
+            la_queues: LookaheadQueues::new(n * PORTS, reservations_flits.len()),
             link_sched,
             cycle: 0,
             cfg,
@@ -538,15 +312,9 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         &self.cfg
     }
 
-    /// Consumes the network, merging every shard's probe fork into
-    /// the main probe (in ascending shard order, keeping the result
-    /// shard-count invariant) and returning it.
+    /// Consumes the network, returning its telemetry probe.
     pub fn into_probe(self) -> Pr {
-        let mut probe = self.probe;
-        for shard in self.shards {
-            probe.absorb(shard.probe);
-        }
-        probe
+        self.probe
     }
 
     /// Total local status resets performed so far, network-wide.
@@ -604,9 +372,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         format!(
             "link n{node}.{port}: pending={} la_queue={} resets={} fwd={} head={} {}",
             sched.pending_len(),
-            self.shards[self.shard_of[node] as usize]
-                .la_queues
-                .raw_len(lidx),
+            self.la_queues.raw_len(lidx),
             sched.resets(),
             self.forwarded[lidx],
             sched.head_frame(),
@@ -656,9 +422,8 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                     self.launch_work.remove(node);
                 }
                 self.la_outstanding[fid as usize] += 1;
-                let shard = &mut self.shards[self.shard_of[node] as usize];
-                shard.stage_work.insert(node);
-                shard.la_wires.push(
+                self.stage_work.insert(node);
+                self.la_wires.push(
                     node * PORTS + LOCAL,
                     now + la_hop,
                     LaFlit {
@@ -683,191 +448,158 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     /// (the virtual channels of the paper's look-ahead router), while
     /// per-flow order is preserved; [`LookaheadQueues`] implements
     /// that fair-bypass scan.
-    ///
-    /// Serial: a booking returns a virtual credit to the *upstream*
-    /// link scheduler in the same cycle, which may live in another
-    /// shard. Iterating shards in ascending order visits queues in
-    /// the same global ascending order as a single instance.
     fn la_schedule(&mut self, now: u64) {
         let la_hop = self.cfg.la_hop_latency;
         let dep_off = self.cfg.dep_offset();
-        for sh in 0..self.shards.len() {
-            let mut cursor = self.ranges[sh].lo * PORTS;
-            while let Some(qidx) = self.shards[sh].la_queues.first_from(cursor) {
-                cursor = qidx + 1;
-                let (node, out_port) = (qidx / PORTS, qidx % PORTS);
-                let dirty = self.link_sched[qidx].take_dirty();
-                if self.shards[sh].la_queues.is_blocked(qidx) && !dirty {
-                    self.probe.on_sched_deny(qidx);
-                    continue;
-                }
-                let booked = {
-                    let Self {
-                        shards, link_sched, ..
-                    } = self;
-                    shards[sh].la_queues.book_first(qidx, |la| {
-                        link_sched[qidx].schedule(
-                            la.flow,
-                            la.dep_slot + dep_off,
-                            PendingQuantum {
-                                flow: la.flow,
-                                qid: la.qid,
-                                in_port: la.in_port,
-                                res_idx: la.res_idx,
-                            },
-                        )
-                    })
-                };
-                let Some((la, slot)) = booked else {
-                    self.probe.on_sched_deny(qidx);
-                    continue;
-                };
-                self.probe.on_sched_book(qidx);
-                // The booking un-freshens the scheduler and adds a
-                // pending quantum: feed the reset watchlist and the
-                // data-plane worklist.
-                self.stale_links.insert(qidx);
-                self.node_data_work[node] += 1;
-                self.shards[sh].data_node_work.insert(node);
-                let key = (la.flow.index() as u32, la.qid);
-                // Input reservation table: record the booked slot.
-                let pidx = node * PORTS + la.in_port as usize;
-                self.data_ports[pidx].record_booking(la.res_idx, key, slot);
-                // Return the virtual credit upstream: the upstream
-                // link now knows when its consumed buffer frees. The
-                // local input port is fed by the NIC, which uses
-                // actual-space flow control instead of a scheduler.
-                if la.in_port as usize != LOCAL {
-                    let (up, up_port) = self.link.upstream(node, la.in_port as usize);
-                    self.link_sched[up * PORTS + up_port].return_credit(slot);
-                }
-                // Ejection booked: the look-ahead flit is consumed
-                // and the flow's look-ahead window slot frees up.
-                if out_port == LOCAL {
-                    self.la_outstanding[la.flow.index()] -= 1;
-                    continue;
-                }
-                let (next, in_port) = self.link.downstream(node, out_port);
-                self.shards[self.shard_of[next] as usize].la_wires.push(
-                    next * PORTS + in_port,
-                    now + la_hop,
-                    LaFlit {
-                        dep_slot: slot,
-                        ..la
-                    },
-                );
+        let mut cursor = 0;
+        while let Some(qidx) = self.la_queues.first_from(cursor) {
+            cursor = qidx + 1;
+            let (node, out_port) = (qidx / PORTS, qidx % PORTS);
+            let dirty = self.link_sched[qidx].take_dirty();
+            if self.la_queues.is_blocked(qidx) && !dirty {
+                self.probe.on_sched_deny(qidx);
+                continue;
             }
+            let link_sched = &mut self.link_sched[qidx];
+            let booked = self.la_queues.book_first(qidx, |la| {
+                link_sched.schedule(
+                    la.flow,
+                    la.dep_slot + dep_off,
+                    PendingQuantum {
+                        flow: la.flow,
+                        qid: la.qid,
+                        in_port: la.in_port,
+                        res_idx: la.res_idx,
+                    },
+                )
+            });
+            let Some((la, slot)) = booked else {
+                self.probe.on_sched_deny(qidx);
+                continue;
+            };
+            self.probe.on_sched_book(qidx);
+            // The booking un-freshens the scheduler and adds a
+            // pending quantum: feed the reset watchlist and the
+            // data-plane worklist.
+            self.stale_links.insert(qidx);
+            self.node_data_work[node] += 1;
+            self.data_node_work.insert(node);
+            let key = (la.flow.index() as u32, la.qid);
+            // Input reservation table: record the booked slot.
+            let pidx = node * PORTS + la.in_port as usize;
+            self.data_ports[pidx].record_booking(la.res_idx, key, slot);
+            // Return the virtual credit upstream: the upstream
+            // link now knows when its consumed buffer frees. The
+            // local input port is fed by the NIC, which uses
+            // actual-space flow control instead of a scheduler.
+            if la.in_port as usize != LOCAL {
+                let (up, up_port) = self.link.upstream(node, la.in_port as usize);
+                self.link_sched[up * PORTS + up_port].return_credit(slot);
+            }
+            // Ejection booked: the look-ahead flit is consumed
+            // and the flow's look-ahead window slot frees up.
+            if out_port == LOCAL {
+                self.la_outstanding[la.flow.index()] -= 1;
+                continue;
+            }
+            let (next, in_port) = self.link.downstream(node, out_port);
+            self.la_wires.push(
+                next * PORTS + in_port,
+                now + la_hop,
+                LaFlit {
+                    dep_slot: slot,
+                    ..la
+                },
+            );
         }
+    }
+
+    /// Delivers arriving look-ahead flits into the look-ahead channel
+    /// queues, writing the input reservation tables (expectations).
+    ///
+    /// The channel queues are per-flow fair (see
+    /// [`Self::la_schedule`]), so delivery is not capacity-limited:
+    /// the per-flow look-ahead window (`la_flow_window`) already
+    /// bounds how many flits any one flow can pile up here.
+    fn la_deliver(&mut self, now: u64) {
+        let Self {
+            la_wires,
+            la_queues,
+            data_ports,
+            link,
+            ..
+        } = self;
+        la_wires.drain_due(now, |widx, la| {
+            let (node, in_port) = (widx / PORTS, widx % PORTS);
+            let out_port = link.route(node, la.dst);
+            let res_idx =
+                data_ports[widx].la_arrive((la.flow.index() as u32, la.qid), out_port as u8);
+            la_queues.push(
+                node * PORTS + out_port,
+                la.flow.index(),
+                LaFlit {
+                    in_port: in_port as u8,
+                    res_idx,
+                    ..la
+                },
+            );
+        });
     }
 
     // ---------------- data plane ------------------------------------
 
-    /// Runs one parallel phase on every shard: on the pool when one
-    /// exists (more than one shard), inline otherwise. Either way the
-    /// per-shard work is identical — the serial path is the parallel
-    /// path with one shard per iteration.
-    fn run_phase(&mut self, phase: LoftPhase) {
-        if self.pool.is_some() {
-            self.run_phase_parallel(phase);
-        } else {
-            self.run_phase_serial(phase);
-        }
-    }
-
-    fn run_phase_serial(&mut self, phase: LoftPhase) {
+    /// Delivers the data quanta arriving this slot into their input
+    /// buffers.
+    fn data_deliver(&mut self, slot: u64) {
         let Self {
-            shards,
-            ranges,
-            link_sched,
+            data_wires,
             data_ports,
-            nics,
             node_data_work,
-            tracker,
-            cfg,
-            link,
+            data_node_work,
             ..
         } = self;
-        for (s, aux) in shards.iter_mut().enumerate() {
-            let range = ranges[s];
-            let mut ctx = LoftShardCtx {
-                range,
-                link_sched: &mut link_sched[range.lo * PORTS..range.hi * PORTS],
-                data_ports: &mut data_ports[range.lo * PORTS..range.hi * PORTS],
-                nics: &mut nics[range.lo..range.hi],
-                node_data_work: &mut node_data_work[range.lo..range.hi],
-                aux,
-                tracker,
-                cfg: *cfg,
-                link: *link,
-            };
-            ctx.run(phase);
-        }
-    }
-
-    fn run_phase_parallel(&mut self, phase: LoftPhase) {
-        let link_sched = SendPtr::new(self.link_sched.as_mut_ptr());
-        let data_ports = SendPtr::new(self.data_ports.as_mut_ptr());
-        let nics = SendPtr::new(self.nics.as_mut_ptr());
-        let node_data_work = SendPtr::new(self.node_data_work.as_mut_ptr());
-        let shards = SendPtr::new(self.shards.as_mut_ptr());
-        let ranges: &[ShardRange] = &self.ranges;
-        let tracker: &EjectTracker = &self.tracker;
-        let cfg = self.cfg;
-        let link = self.link;
-        let k = ranges.len();
-        let pool = self.pool.as_mut().expect("parallel phase without a pool");
-        pool.run(k, &|s| {
-            let range = ranges[s];
-            let (lo, len) = (range.lo, range.len());
-            // SAFETY: shard ranges are disjoint and cover `0..n`, and
-            // the pool hands each shard index to exactly one task, so
-            // the slices below never overlap across concurrent tasks;
-            // `pool.run` returns only after every task (and worker)
-            // has left the job, so no access outlives the borrows the
-            // pointers were created from.
-            let mut ctx = unsafe {
-                LoftShardCtx {
-                    range,
-                    link_sched: std::slice::from_raw_parts_mut(
-                        link_sched.get().add(lo * PORTS),
-                        len * PORTS,
-                    ),
-                    data_ports: std::slice::from_raw_parts_mut(
-                        data_ports.get().add(lo * PORTS),
-                        len * PORTS,
-                    ),
-                    nics: std::slice::from_raw_parts_mut(nics.get().add(lo), len),
-                    node_data_work: std::slice::from_raw_parts_mut(
-                        node_data_work.get().add(lo),
-                        len,
-                    ),
-                    aux: &mut *shards.get().add(s),
-                    tracker,
-                    cfg,
-                    link,
-                }
-            };
-            ctx.run(phase);
+        data_wires.drain_due(slot, |widx, w| {
+            let key = (w.flow.index() as u32, w.qid);
+            data_ports[widx].record_arrival(key, w.spec, w.pref);
+            node_data_work[widx / PORTS] += 1;
+            data_node_work.insert(widx / PORTS);
         });
     }
 
-    /// Applies the `injected_at` stamps the parallel injection phase
-    /// deferred, in ascending shard (= node) order. A packet cannot
-    /// eject in the slot its first quantum injects (the quantum is in
-    /// flight for at least one slot), so stamping here — after the
-    /// phase barrier, before data movement — is indistinguishable
-    /// from stamping inline.
-    fn apply_stamps(&mut self, slot: u64) {
+    /// Streams one staged quantum per node into its router's local
+    /// input buffer, as non-speculative space permits, stamping
+    /// `injected_at` on a packet's first quantum.
+    fn inject_data(&mut self, slot: u64) {
         let at = slot * self.cfg.flits_per_quantum as u64;
-        let Self {
-            shards, tracker, ..
-        } = self;
-        for shard in shards.iter_mut() {
-            for pref in shard.stamps.drain(..) {
-                let packet = tracker.packet_mut(pref);
-                debug_assert!(packet.injected_at.is_none(), "packet stamped twice");
+        let mut cursor = 0;
+        while let Some(node) = self.stage_work.first_from(cursor) {
+            cursor = node + 1;
+            let pidx = node * PORTS + LOCAL;
+            if self.data_ports[pidx].nonspec_free == 0 {
+                self.probe.on_nic_stall(node);
+                continue;
+            }
+            let nic = &mut self.nics[node];
+            let (key, pref) = *nic.staged.front().expect("stage_work implies staged");
+            nic.staged.pop_front();
+            if nic.staged.is_empty() {
+                self.stage_work.remove(node);
+            }
+            self.data_ports[pidx].nonspec_free -= 1;
+            let packet = self.tracker.packet_mut(pref);
+            if packet.injected_at.is_none() {
                 packet.injected_at = Some(at);
             }
+            self.data_wires.push(
+                pidx,
+                slot + self.cfg.dep_offset(),
+                DataQuantum {
+                    flow: FlowId::new(key.0),
+                    qid: key.1,
+                    spec: false,
+                    pref,
+                },
+            );
         }
     }
 
@@ -875,17 +607,12 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     /// on the worklist while any of its output links has a pending
     /// booking or any of its input buffers holds an arrived quantum —
     /// precisely the states in which [`Self::move_on_link`] can act.
-    ///
-    /// Serial: forwarding consumes *downstream* buffer credit and
-    /// pushes onto the receiving shard's wires in the same cycle.
     fn data_move(&mut self, slot: u64, out: &mut Vec<Packet>) {
-        for sh in 0..self.shards.len() {
-            let mut cursor = self.ranges[sh].lo;
-            while let Some(node) = self.shards[sh].data_node_work.first_from(cursor) {
-                cursor = node + 1;
-                for port in 0..PORTS {
-                    self.move_on_link(node, port, slot, out);
-                }
+        let mut cursor = 0;
+        while let Some(node) = self.data_node_work.first_from(cursor) {
+            cursor = node + 1;
+            for port in 0..PORTS {
+                self.move_on_link(node, port, slot, out);
             }
         }
     }
@@ -987,9 +714,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
         }
         self.node_data_work[node] -= 2;
         if self.node_data_work[node] == 0 {
-            self.shards[self.shard_of[node] as usize]
-                .data_node_work
-                .remove(node);
+            self.data_node_work.remove(node);
         }
         let pidx = node * PORTS + in_port as usize;
         let port = &mut self.data_ports[pidx];
@@ -1013,18 +738,16 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 } else {
                     self.data_ports[ridx].nonspec_free -= 1;
                 }
-                self.shards[self.shard_of[ridx / PORTS] as usize]
-                    .data_wires
-                    .push(
-                        ridx,
-                        slot + self.cfg.dep_offset(),
-                        DataQuantum {
-                            flow,
-                            qid,
-                            spec,
-                            pref: arr_pref,
-                        },
-                    );
+                self.data_wires.push(
+                    ridx,
+                    slot + self.cfg.dep_offset(),
+                    DataQuantum {
+                        flow,
+                        qid,
+                        spec,
+                        pref: arr_pref,
+                    },
+                );
             }
         }
     }
@@ -1045,26 +768,9 @@ impl<Pr: Probe> LoftNetwork<Pr> {
     /// per cycle from [`Network::step`] under `debug_assertions`.
     #[cfg(debug_assertions)]
     fn debug_verify_worklists(&self) {
-        for (sh, shard) in self.shards.iter().enumerate() {
-            shard.la_wires.debug_verify();
-            shard.data_wires.debug_verify();
-            shard.la_queues.debug_verify();
-            debug_assert!(
-                shard.stamps.is_empty(),
-                "shard {sh} left injection stamps unapplied"
-            );
-            // Shard-locality: no in-flight item or queued look-ahead
-            // outside the shard's own link range.
-            let links = self.ranges[sh].lo * PORTS..self.ranges[sh].hi * PORTS;
-            for i in (0..self.link_sched.len()).filter(|i| !links.contains(i)) {
-                debug_assert!(
-                    !shard.la_wires.is_active(i)
-                        && !shard.data_wires.is_active(i)
-                        && shard.la_queues.raw_len(i) == 0,
-                    "shard {sh} holds state outside its range at link {i}"
-                );
-            }
-        }
+        self.la_wires.debug_verify();
+        self.data_wires.debug_verify();
+        self.la_queues.debug_verify();
         for i in 0..self.link_sched.len() {
             debug_assert_eq!(
                 self.stale_links.contains(i),
@@ -1107,9 +813,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 "node_data_work miscounts node {node}"
             );
             debug_assert_eq!(
-                self.shards[self.shard_of[node] as usize]
-                    .data_node_work
-                    .contains(node),
+                self.data_node_work.contains(node),
                 pending + arrived > 0,
                 "data_node_work out of sync at node {node}"
             );
@@ -1125,9 +829,7 @@ impl<Pr: Probe> LoftNetwork<Pr> {
                 "launch_work out of sync at node {node}"
             );
             debug_assert_eq!(
-                self.shards[self.shard_of[node] as usize]
-                    .stage_work
-                    .contains(node),
+                self.stage_work.contains(node),
                 !nic.staged.is_empty(),
                 "stage_work out of sync at node {node}"
             );
@@ -1247,8 +949,13 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         let q = self.cfg.flits_per_quantum as u64;
         if now.is_multiple_of(q) {
             let slot = now / q;
-            self.run_phase(LoftPhase::Data { slot });
-            self.apply_stamps(slot);
+            if slot > 0 {
+                for s in &mut self.link_sched {
+                    s.advance_slot();
+                }
+            }
+            self.data_deliver(slot);
+            self.inject_data(slot);
             self.data_move(slot, out);
         }
         // Reset checks run every cycle: an idle instant between two
@@ -1256,11 +963,7 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         if self.cfg.local_status_reset {
             self.reset_idle_links();
         }
-        // Look-ahead delivery is shard-local; skip the whole pass
-        // (and the pool dispatch) when no look-ahead is in flight.
-        if self.shards.iter().any(|sh| sh.la_wires.any_active()) {
-            self.run_phase(LoftPhase::Lookahead { now });
-        }
+        self.la_deliver(now);
         self.la_schedule(now);
         self.la_launch(now);
         self.probe.on_cycle(now);
@@ -1294,17 +997,11 @@ impl<Pr: Probe> Network for LoftNetwork<Pr> {
         }
         #[cfg(debug_assertions)]
         {
-            for shard in &self.shards {
-                debug_assert!(!shard.data_wires.any_active(), "data quanta in flight");
-                debug_assert!(!shard.la_wires.any_active(), "look-aheads in flight");
-                debug_assert!(
-                    shard.la_queues.first_from(0).is_none(),
-                    "queued look-aheads"
-                );
-                debug_assert!(shard.data_node_work.is_empty(), "data work mid-jump");
-                debug_assert!(shard.stage_work.is_empty(), "staged quanta mid-jump");
-                debug_assert!(shard.stamps.is_empty(), "unapplied stamps mid-jump");
-            }
+            debug_assert!(!self.data_wires.any_active(), "data quanta in flight");
+            debug_assert!(!self.la_wires.any_active(), "look-aheads in flight");
+            debug_assert!(self.la_queues.first_from(0).is_none(), "queued look-aheads");
+            debug_assert!(self.data_node_work.is_empty(), "data work mid-jump");
+            debug_assert!(self.stage_work.is_empty(), "staged quanta mid-jump");
             debug_assert!(self.launch_work.is_empty(), "queued source quanta");
             debug_assert!(self.la_outstanding.iter().all(|&c| c == 0));
             debug_assert!(self.node_data_work.iter().all(|&c| c == 0));

@@ -35,9 +35,6 @@ pub struct GsfConfig {
     /// as a frame). Only used by the storage model; the simulator
     /// queues are unbounded so overload shows up as latency.
     pub source_queue_flits: u32,
-    /// Shards stepped concurrently each cycle (1 = single-threaded).
-    /// Results are bit-identical at every value; see `noc_sim::par`.
-    pub threads: usize,
 }
 
 impl GsfConfig {
@@ -73,7 +70,6 @@ impl Default for GsfConfig {
             hop_latency: 3,
             credit_delay: 3,
             source_queue_flits: 2000,
-            threads: 1,
         }
     }
 }

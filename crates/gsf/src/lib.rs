@@ -41,6 +41,7 @@
 //! # Ok::<(), noc_sim::ConfigError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

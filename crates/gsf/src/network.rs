@@ -44,7 +44,7 @@ use crate::framing::Framing;
 /// takes part in an ordering decision.
 type TaggedHeap = BinaryHeap<Reverse<(u64, u64, PacketRef)>>;
 
-/// Per-shard VC-allocation scratch, reused every cycle.
+/// VC-allocation scratch, reused every cycle.
 #[derive(Debug, Default, Clone)]
 struct GsfScratch {
     /// Per-output VC-allocation requests: (frame, input slot).
@@ -88,7 +88,7 @@ impl GsfPolicy {
         let seq = self.tag_seq;
         self.tag_seq += 1;
         ctx.sources[node].push(Reverse((frame, seq, pref)));
-        ctx.woken.push(node);
+        ctx.woken.insert(node);
         true
     }
 
@@ -260,7 +260,7 @@ impl GsfNetwork {
 
 impl<Pr: Probe> GsfNetwork<Pr> {
     /// Like [`GsfNetwork::new`], additionally reporting telemetry
-    /// events to `probe`; retrieve the merged probe with
+    /// events to `probe`; retrieve the probe with
     /// [`GsfNetwork::into_probe`] after the run.
     pub fn with_probe(cfg: GsfConfig, reservations: &[u32], probe: Pr) -> Self {
         let n = cfg.topo.num_nodes();
@@ -271,7 +271,6 @@ impl<Pr: Probe> GsfNetwork<Pr> {
             vc_capacity: cfg.vc_capacity,
             hop_latency: cfg.hop_latency,
             credit_delay: cfg.credit_delay,
-            threads: cfg.threads,
         };
         let policy = GsfPolicy {
             framing: Framing::new(
@@ -289,8 +288,7 @@ impl<Pr: Probe> GsfNetwork<Pr> {
         }
     }
 
-    /// Consumes the network, returning the telemetry probe with every
-    /// shard fork merged in deterministic order.
+    /// Consumes the network, returning its telemetry probe.
     #[must_use]
     pub fn into_probe(self) -> Pr {
         self.fabric.into_probe()

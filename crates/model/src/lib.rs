@@ -25,6 +25,7 @@
 //! assert!(loft.total() < gsf.total());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -2,6 +2,7 @@
 
 use crate::flit::PacketId;
 use crate::slab::PacketRef;
+use crate::worklist::ActiveSet;
 
 use super::eject::EjectTracker;
 use super::vc::{VcFlit, VcRouter};
@@ -23,7 +24,7 @@ pub struct SwitchGrant {
     pub slot: usize,
 }
 
-/// Fabric state a *serial* policy hook may touch
+/// Fabric state a policy-state hook may touch
 /// ([`RouterPolicy::pre_inject`], [`RouterPolicy::on_enqueue`]).
 ///
 /// `S` is the policy's [`RouterPolicy::Source`] type; the fabric owns
@@ -34,11 +35,9 @@ pub struct PolicyCtx<'a, S> {
     pub packets: &'a EjectTracker,
     /// Per-node source queues, indexed by node.
     pub sources: &'a mut [S],
-    /// Nodes whose source NIC gained streamable work during this hook:
-    /// push the node index here and the fabric marks the right shard's
-    /// NIC worklist. (A relay rather than the worklist itself, because
-    /// under sharded stepping each shard owns its own worklist.)
-    pub woken: &'a mut Vec<usize>,
+    /// The fabric's NIC worklist: insert a node whose source gained
+    /// streamable work during this hook.
+    pub woken: &'a mut ActiveSet,
 }
 
 /// A scheduling/flow-control policy over the shared VC datapath
@@ -61,22 +60,19 @@ pub struct PolicyCtx<'a, S> {
 /// the datapath; resolve one through [`PolicyCtx::packets`] when flow
 /// or length information is needed.
 ///
-/// # Serial vs. per-shard hooks
+/// # Policy state vs. per-router hooks
 ///
-/// The fabric steps shards of nodes concurrently (see [`crate::par`]),
-/// so the hooks split into two groups:
+/// The hooks split into two groups:
 ///
-/// * **Serial hooks** take `&mut self` and run on the coordinator
-///   between cycles or at the cycle barrier: [`RouterPolicy::pre_inject`],
+/// * **Policy-state hooks** take `&mut self`: [`RouterPolicy::pre_inject`],
 ///   [`RouterPolicy::on_enqueue`], [`RouterPolicy::on_eject_flit`],
 ///   [`RouterPolicy::on_eject_packet`]. Globally shared policy state
 ///   (GSF's framing window, untagged backlog, tag counter) lives in
 ///   `self` and is only touched here.
-/// * **Per-shard hooks** are associated functions with *no* `self`:
-///   they may only touch the per-node [`RouterPolicy::Source`], the
-///   per-shard [`RouterPolicy::Scratch`], and the router they are
-///   handed — state a shard owns exclusively. This is what makes
-///   parallel stepping race-free by construction.
+/// * **Per-router hooks** are associated functions with *no* `self`:
+///   they only see the per-node [`RouterPolicy::Source`], the
+///   [`RouterPolicy::Scratch`], and the router they are handed, so a
+///   router's arbitration cannot depend on global policy state.
 ///
 /// Flit-reservation policies that need a look-ahead channel build on
 /// [`super::LookaheadQueues`] instead of this trait — see the module
@@ -84,20 +80,19 @@ pub struct PolicyCtx<'a, S> {
 pub trait RouterPolicy {
     /// Per-flit policy payload carried through the network (`()` for
     /// plain wormhole, the frame number for GSF).
-    type Tag: Copy + std::fmt::Debug + Send;
+    type Tag: Copy + std::fmt::Debug;
 
     /// Per-node source-queue state: what waits to stream at a node,
     /// in the policy's order (a FIFO for wormhole, a frame-ordered
-    /// heap for GSF). Owned by the node's shard during stepping.
-    /// `Clone` so a fabric can be snapshotted for checkpoint/fork
+    /// heap for GSF). `Clone` so a fabric can be snapshotted for checkpoint/fork
     /// (see `noc_sim::checkpoint`).
-    type Source: std::fmt::Debug + Send + Clone;
+    type Source: std::fmt::Debug + Clone;
 
-    /// Per-shard scratch reused across cycles by
+    /// Allocation scratch reused across cycles by
     /// [`RouterPolicy::vc_allocate`] (e.g. GSF's request/free-VC
     /// vectors). `()` when the allocator needs none. `Clone` for the
     /// same snapshot reason as [`RouterPolicy::Source`].
-    type Scratch: Default + std::fmt::Debug + Send + Clone;
+    type Scratch: Default + std::fmt::Debug + Clone;
 
     /// Reuse semantics for downstream VCs. `false`: the tail flit
     /// frees the VC immediately (wormhole). `true`: the VC stays
@@ -108,55 +103,46 @@ pub trait RouterPolicy {
     /// An empty source queue for one node.
     fn new_source(&self) -> Self::Source;
 
-    /// Runs once per cycle, serially, before the shards step (GSF
-    /// recycles frames here). Default: nothing.
-    ///
-    /// This hook must not depend on the *current* cycle's link
-    /// arrivals or credit returns — under sharded stepping those are
-    /// processed after it (they only touch router/NIC state, which
-    /// this hook cannot reach anyway).
+    /// Runs once per cycle, before the datapath phases (GSF recycles
+    /// frames here). Default: nothing.
     fn pre_inject(&mut self, now: u64, ctx: &mut PolicyCtx<'_, Self::Source>) {
         let _ = (now, ctx);
     }
 
     /// A packet entered the network at `node`: queue it at the source
-    /// (and push `node` into `ctx.woken` if it is ready to stream).
-    /// Serial.
+    /// (and insert `node` into `ctx.woken` if it is ready to stream).
     fn on_enqueue(&mut self, node: usize, pref: PacketRef, ctx: &mut PolicyCtx<'_, Self::Source>);
 
     /// The packet that would stream next from this source queue, if
     /// any. The fabric only commits (via [`RouterPolicy::pop_source`])
-    /// once a free VC is found. Per-shard.
+    /// once a free VC is found.
     fn peek_source(source: &Self::Source) -> Option<PacketRef>;
 
     /// Removes and returns the packet just peeked, with its tag.
-    /// Per-shard.
     fn pop_source(source: &mut Self::Source) -> (PacketRef, Self::Tag);
 
     /// Whether this source queue holds nothing ready to stream (the
     /// NIC worklist predicate, together with the streaming state the
-    /// fabric tracks itself). Per-shard.
+    /// fabric tracks itself).
     fn source_idle(source: &Self::Source) -> bool;
 
     /// Virtual-channel allocation for one router: assign free
     /// downstream VCs (`router.out_owner`) to head flits waiting for
-    /// one (`buf.out_vc == None`). Per-shard.
+    /// one (`buf.out_vc == None`).
     fn vc_allocate(scratch: &mut Self::Scratch, router: &mut VcRouter<Self::Tag>, num_vcs: usize);
 
     /// Switch allocation for one output port: pick the input VC that
     /// forwards this cycle. Candidates need a flit routed to
     /// `out_port`, an allocated `out_vc`, and (except for ejection)
     /// downstream credit — the policy chooses among them. The fabric
-    /// only calls this when `router.routed[out_port] > 0`. Per-shard.
+    /// only calls this when `router.routed[out_port] > 0`.
     fn pick_winner(
         router: &VcRouter<Self::Tag>,
         out_port: usize,
         num_vcs: usize,
     ) -> Option<SwitchGrant>;
 
-    /// A flit was ejected at its destination. Serial (ejections are
-    /// deferred to the cycle barrier and applied in ascending node
-    /// order). Default: nothing.
+    /// A flit was ejected at its destination. Default: nothing.
     fn on_eject_flit(&mut self, flit: &VcFlit<Self::Tag>) {
         let _ = flit;
     }
@@ -171,7 +157,7 @@ pub trait RouterPolicy {
     /// `now` (see `VcFabric::fast_forward`): advance any
     /// purely time-dependent policy state in closed form, exactly as
     /// `cycles` idle [`RouterPolicy::pre_inject`] calls would have.
-    /// Serial. Default: nothing (stateless policies like wormhole
+    /// Default: nothing (stateless policies like wormhole
     /// have no clock of their own).
     fn fast_forward(&mut self, now: u64, cycles: u64) {
         let _ = (now, cycles);

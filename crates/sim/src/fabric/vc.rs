@@ -4,7 +4,6 @@ use std::collections::VecDeque;
 
 use crate::engine::Network;
 use crate::flit::{FlitKind, NodeId, Packet};
-use crate::par::{partition, shard_map, Mailbox, SendPtr, ShardRange, WorkerPool};
 use crate::routing::{Direction, Routing};
 use crate::slab::PacketRef;
 use crate::telemetry::{BufKind, NoopProbe, Probe};
@@ -299,107 +298,122 @@ pub struct VcParams {
     pub hop_latency: u64,
     /// Upstream credit return delay, in cycles.
     pub credit_delay: u64,
-    /// Shards stepped concurrently each cycle (1 = single-threaded;
-    /// clamped to the node count). Results are bit-identical at every
-    /// value — see [`crate::par`].
-    pub threads: usize,
 }
 
-/// A cross-shard flit push awaiting the barrier merge:
-/// `(widx, (vc, flit))` for [`DelayedWires::push`] on the
-/// destination shard.
-type WirePush<T> = (usize, (usize, VcFlit<T>));
-
-/// State owned exclusively by one shard of nodes: its wires, credit
-/// returns, worklists, policy scratch, and the outboxes/deferred
-/// events the cycle barrier merges.
+/// The complete credit-based VC datapath, parameterized by a
+/// [`RouterPolicy`].
+///
+/// Cycle processing order:
+///
+/// 1. the policy's [`RouterPolicy::pre_inject`] hook runs,
+/// 2. link arrivals are written into input VC buffers,
+/// 3. returned credits are applied (releasing drained VCs under
+///    [`RouterPolicy::DRAIN_BEFORE_REUSE`]),
+/// 4. NICs stream source-queue packets into their router's local
+///    input port (one flit/cycle, one VC per packet; packet order
+///    from the policy),
+/// 5. route computation for new head flits,
+/// 6. VC allocation (policy),
+/// 7. switch allocation (policy) + traversal: each output port
+///    forwards at most one flit, consuming a credit; the freed input
+///    slot's credit travels upstream with a configurable delay, and
+///    flits leaving through the local port are ejected.
+///
+/// All iteration is in ascending node/link index order with live
+/// worklist semantics, bit-identical to the full scans it replaced.
 #[derive(Debug, Clone)]
-struct ShardState<P: RouterPolicy, Pr: Probe> {
-    /// This shard's telemetry probe (a [`Probe::fork`] of the
-    /// fabric's). Only events for this shard's node range land here;
-    /// [`VcFabric::into_probe`] absorbs the forks in shard order.
+pub struct VcFabric<P: RouterPolicy, Pr: Probe = NoopProbe> {
+    policy: P,
+    /// The telemetry probe: every event of every phase lands here.
     probe: Pr,
-    /// In-flight flits per (node, input port), as `(vc, flit)`.
-    /// Globally indexed `node * PORTS + port`; only links of nodes in
-    /// this shard's range are ever populated.
+    params: VcParams,
+    link: LinkMap,
+    cycle: u64,
+    routers: Vec<VcRouter<P::Tag>>,
+    nics: Vec<VcNic<P::Tag>>,
+    /// Per-node source queues (policy-defined order).
+    sources: Vec<P::Source>,
+    tracker: EjectTracker,
+    /// Flits forwarded per output link, index `node * PORTS + port`.
+    forwarded: Vec<u64>,
+    /// Buffered input flits per router (maintains `router_work`).
+    buffered: Vec<u32>,
+    /// In-flight flits per (node, input port), as `(vc, flit)`, index
+    /// `node * PORTS + port`.
     wires: DelayedWires<(usize, VcFlit<P::Tag>)>,
-    /// Credit returns for this shard's nodes: `(node, port, vc)`;
-    /// `port == LOCAL` means the NIC credit pool of `node`.
+    /// Credit returns in flight: `(node, port, vc)`; `port == LOCAL`
+    /// means the NIC credit pool of `node`.
     credits_in_flight: TimedFifo<(usize, usize, usize)>,
-    /// This shard's NICs with a packet streaming or queued.
+    /// NICs with a packet streaming or queued.
     nic_work: ActiveSet,
-    /// This shard's routers with at least one buffered input flit.
+    /// Routers with at least one buffered input flit.
     router_work: ActiveSet,
-    /// Per-shard policy allocation scratch.
+    /// Policy allocation scratch, reused across cycles.
     scratch: P::Scratch,
-    /// Cross-shard flit pushes `(widx, (vc, flit))`, one lane per
-    /// destination shard.
-    wire_out: Mailbox<WirePush<P::Tag>>,
-    /// Cross-shard credit returns `(node, port, vc)`, one lane per
-    /// destination shard.
-    credit_out: Mailbox<(usize, usize, usize)>,
-    /// Flits ejected by this shard's routers this cycle, in ascending
-    /// node order; applied serially at the barrier.
-    ejects: Vec<VcFlit<P::Tag>>,
-    /// Packets whose first flit entered the network this cycle;
-    /// `injected_at` is stamped at the barrier (the slab is read-only
-    /// during the parallel phase).
-    stamps: Vec<PacketRef>,
 }
 
-impl<P: RouterPolicy, Pr: Probe> ShardState<P, Pr> {
-    fn new(n: usize, shards: usize, params: &VcParams, probe: Pr) -> Self {
+impl<P: RouterPolicy> VcFabric<P> {
+    /// Builds the datapath for `params`, scheduled by `policy`, with
+    /// telemetry disabled ([`NoopProbe`] — zero cost, bit-identical
+    /// to a build without probe plumbing).
+    pub fn new(params: VcParams, policy: P) -> Self {
+        Self::with_probe(params, policy, NoopProbe)
+    }
+}
+
+impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
+    /// Builds the datapath for `params`, scheduled by `policy`,
+    /// reporting telemetry events to `probe` (retrieve it with
+    /// [`VcFabric::into_probe`] after the run).
+    pub fn with_probe(params: VcParams, policy: P, probe: Pr) -> Self {
+        let n = params.topo.num_nodes();
         // At most one flit enters a link per cycle, so a link never
         // carries more than `hop_latency` flits at once; credits obey
         // the same bound per (port, vc). Pre-sizing to those bounds
         // means warmup never reallocates.
         let per_link = params.hop_latency as usize + 1;
         let credit_cap = n * PORTS * (params.credit_delay as usize + 1);
-        ShardState {
-            probe,
+        VcFabric {
+            link: LinkMap::new(params.topo, params.routing),
+            routers: (0..n)
+                .map(|_| VcRouter::new(params.num_vcs, params.vc_capacity))
+                .collect(),
+            nics: (0..n)
+                .map(|_| VcNic::new(params.num_vcs, params.vc_capacity))
+                .collect(),
+            sources: (0..n).map(|_| policy.new_source()).collect(),
+            tracker: EjectTracker::new(),
+            forwarded: vec![0; n * PORTS],
+            buffered: vec![0; n],
             wires: DelayedWires::with_capacity(n * PORTS, per_link),
             credits_in_flight: TimedFifo::with_capacity(credit_cap),
             nic_work: ActiveSet::new(n),
             router_work: ActiveSet::new(n),
             scratch: P::Scratch::default(),
-            wire_out: Mailbox::new(shards),
-            credit_out: Mailbox::new(shards),
-            ejects: Vec::new(),
-            stamps: Vec::new(),
+            cycle: 0,
+            policy,
+            probe,
+            params,
         }
     }
-}
 
-/// One shard's mutable view of the fabric for a single cycle: the
-/// node-range slices of the global per-node arrays plus the shard's
-/// own [`ShardState`]. All slices cover exactly `range` (local index
-/// `node - range.lo`); `forwarded` covers the matching link range.
-struct ShardCtx<'a, P: RouterPolicy, Pr: Probe> {
-    range: ShardRange,
-    routers: &'a mut [VcRouter<P::Tag>],
-    nics: &'a mut [VcNic<P::Tag>],
-    sources: &'a mut [P::Source],
-    buffered: &'a mut [u32],
-    forwarded: &'a mut [u64],
-    aux: &'a mut ShardState<P, Pr>,
-    tracker: &'a EjectTracker,
-    link: LinkMap,
-    params: VcParams,
-    shard_of: &'a [u32],
-}
+    /// Consumes the fabric, returning its telemetry probe.
+    #[must_use]
+    pub fn into_probe(self) -> Pr {
+        self.probe
+    }
 
-impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
-    /// Phases 1–7 of the cycle for this shard's nodes. Every write
-    /// lands in shard-owned state; cross-shard effects go to the
-    /// outboxes/deferred-event lists for the barrier.
-    fn run_cycle(&mut self, now: u64) {
-        self.sample_occupancy(now);
-        self.deliver_arrivals(now);
-        self.apply_credits(now);
-        self.nic_inject();
-        self.route_compute();
-        self.vc_allocate();
-        self.switch_traverse(now);
+    /// The scheduling policy.
+    #[must_use]
+    pub fn policy(&self) -> &P {
+        &self.policy
+    }
+
+    /// Flits forwarded so far on the output link `(node, dir)` —
+    /// divide by elapsed cycles for the link utilization.
+    #[must_use]
+    pub fn link_flits(&self, node: NodeId, dir: Direction) -> u64 {
+        self.forwarded[node.index() * PORTS + dir.index()]
     }
 
     /// Emits one occupancy sample per input VC buffer when the probe's
@@ -407,17 +421,15 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
     /// for [`NoopProbe`] builds (`Pr::ENABLED` is `false`), so the
     /// telemetry-off hot loop does not even test the cycle counter.
     fn sample_occupancy(&mut self, now: u64) {
-        if !Pr::ENABLED || !self.aux.probe.sample_due(now) {
+        if !Pr::ENABLED || !self.probe.sample_due(now) {
             return;
         }
         let num_vcs = self.params.num_vcs;
-        let lo = self.range.lo;
-        for (l, router) in self.routers.iter().enumerate() {
-            let base = (lo + l) * PORTS;
+        for (node, router) in self.routers.iter().enumerate() {
+            let base = node * PORTS;
             for (slot, buf) in router.inputs.iter().enumerate() {
                 let port = slot / num_vcs;
-                self.aux
-                    .probe
+                self.probe
                     .on_occupancy(BufKind::Vc, base + port, buf.q.len() as u32);
             }
         }
@@ -425,21 +437,19 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
 
     fn deliver_arrivals(&mut self, now: u64) {
         let Self {
-            aux,
+            wires,
             routers,
             buffered,
-            range,
+            router_work,
             params,
             ..
         } = self;
         let cap = params.vc_capacity;
         let num_vcs = params.num_vcs;
-        let lo = range.lo;
-        let router_work = &mut aux.router_work;
-        aux.wires.drain_due(now, |widx, (vc, flit)| {
+        wires.drain_due(now, |widx, (vc, flit)| {
             let node = widx / PORTS;
             let port = widx % PORTS;
-            let router = &mut routers[node - lo];
+            let router = &mut routers[node];
             let slot = port * num_vcs + vc;
             let buf: &mut VcBuf<P::Tag> = &mut router.inputs[slot];
             debug_assert!(
@@ -459,7 +469,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     router.sa_ready[r] |= 1u64 << slot;
                 }
             }
-            buffered[node - lo] += 1;
+            buffered[node] += 1;
             router_work.insert(node);
         });
     }
@@ -467,17 +477,16 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
     fn apply_credits(&mut self, now: u64) {
         let cap = self.params.vc_capacity as u32;
         let num_vcs = self.params.num_vcs;
-        let lo = self.range.lo;
-        while let Some((node, port, vc)) = self.aux.credits_in_flight.pop_due(now) {
+        while let Some((node, port, vc)) = self.credits_in_flight.pop_due(now) {
             if port == LOCAL {
-                let nic = &mut self.nics[node - lo];
+                let nic = &mut self.nics[node];
                 nic.credits[vc] += 1;
                 if P::DRAIN_BEFORE_REUSE && nic.draining[vc] && nic.credits[vc] == cap {
                     nic.draining[vc] = false;
                     nic.owned[vc] = false;
                 }
             } else {
-                let r = &mut self.routers[node - lo];
+                let r = &mut self.routers[node];
                 let slot = port * num_vcs + vc;
                 r.credits[slot] += 1;
                 if P::DRAIN_BEFORE_REUSE && r.out_draining[slot] && r.credits[slot] == cap {
@@ -488,27 +497,25 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
         }
     }
 
-    fn nic_inject(&mut self) {
+    fn nic_inject(&mut self, now: u64) {
         let num_vcs = self.params.num_vcs;
-        let lo = self.range.lo;
         let mut cursor = 0;
-        while let Some(node) = self.aux.nic_work.first_from(cursor) {
+        while let Some(node) = self.nic_work.first_from(cursor) {
             cursor = node + 1;
-            let l = node - lo;
-            if self.nics[l].current.is_none() && P::peek_source(&self.sources[l]).is_some() {
+            if self.nics[node].current.is_none() && P::peek_source(&self.sources[node]).is_some() {
                 // Allocate a free local VC, round-robin; only then
                 // commit the packet.
-                let nic = &self.nics[l];
+                let nic = &self.nics[node];
                 let free = (0..num_vcs)
                     .map(|k| (nic.rr + k) % num_vcs)
                     .find(|&v| !nic.owned[v]);
                 if let Some(vc) = free {
-                    let (pref, tag) = P::pop_source(&mut self.sources[l]);
+                    let (pref, tag) = P::pop_source(&mut self.sources[node]);
                     let (dst, len) = {
                         let p = self.tracker.packet(pref);
                         (p.dst, p.len_flits)
                     };
-                    let nic = &mut self.nics[l];
+                    let nic = &mut self.nics[node];
                     nic.owned[vc] = true;
                     nic.rr = (vc + 1) % num_vcs;
                     nic.current = Some(Streaming {
@@ -521,7 +528,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     });
                 }
             }
-            let nic = &mut self.nics[l];
+            let nic = &mut self.nics[node];
             if let Some(cur) = &mut nic.current {
                 if nic.credits[cur.vc] > 0 {
                     let kind = FlitKind::for_position(cur.pos, cur.len);
@@ -533,9 +540,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     };
                     nic.credits[cur.vc] -= 1;
                     if cur.pos == 0 {
-                        // The slab is shared read-only across shards;
-                        // the barrier applies the stamp.
-                        self.aux.stamps.push(cur.pref);
+                        self.tracker.packet_mut(cur.pref).injected_at = Some(now);
                     }
                     cur.pos += 1;
                     let vc = cur.vc;
@@ -548,7 +553,7 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                         }
                         nic.current = None;
                     }
-                    let router = &mut self.routers[l];
+                    let router = &mut self.routers[node];
                     let slot = LOCAL * num_vcs + vc;
                     let buf = &mut router.inputs[slot];
                     buf.q.push_back(flit);
@@ -558,27 +563,26 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                             router.sa_ready[r] |= 1u64 << slot;
                         }
                     }
-                    self.buffered[l] += 1;
-                    self.aux.router_work.insert(node);
+                    self.buffered[node] += 1;
+                    self.router_work.insert(node);
                 } else {
                     // A packet is mid-stream but the local VC has no
                     // credit: the source is head-of-line blocked.
-                    self.aux.probe.on_nic_stall(node);
+                    self.probe.on_nic_stall(node);
                 }
             }
-            if self.nics[l].current.is_none() && P::source_idle(&self.sources[l]) {
-                self.aux.nic_work.remove(node);
+            if self.nics[node].current.is_none() && P::source_idle(&self.sources[node]) {
+                self.nic_work.remove(node);
             }
         }
     }
 
     fn route_compute(&mut self) {
         let link = self.link;
-        let lo = self.range.lo;
         let mut cursor = 0;
-        while let Some(node) = self.aux.router_work.first_from(cursor) {
+        while let Some(node) = self.router_work.first_from(cursor) {
             cursor = node + 1;
-            let router = &mut self.routers[node - lo];
+            let router = &mut self.routers[node];
             for slot in 0..router.inputs.len() {
                 let buf = &router.inputs[slot];
                 if buf.route.is_some() {
@@ -599,28 +603,25 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
 
     fn vc_allocate(&mut self) {
         let num_vcs = self.params.num_vcs;
-        let lo = self.range.lo;
         let mut cursor = 0;
-        while let Some(node) = self.aux.router_work.first_from(cursor) {
+        while let Some(node) = self.router_work.first_from(cursor) {
             cursor = node + 1;
-            P::vc_allocate(&mut self.aux.scratch, &mut self.routers[node - lo], num_vcs);
+            P::vc_allocate(&mut self.scratch, &mut self.routers[node], num_vcs);
         }
     }
 
-    fn switch_traverse(&mut self, now: u64) {
+    fn switch_traverse(&mut self, now: u64, out: &mut Vec<Packet>) {
         let num_vcs = self.params.num_vcs;
         let total = PORTS * num_vcs;
-        let lo = self.range.lo;
         let mut cursor = 0;
-        while let Some(node) = self.aux.router_work.first_from(cursor) {
+        while let Some(node) = self.router_work.first_from(cursor) {
             cursor = node + 1;
-            let l = node - lo;
             for out_port in 0..PORTS {
                 // No input VC can request this output: nothing to
                 // arbitrate. (An empty ready mask is exactly the
                 // condition under which every policy's winner scan
                 // comes up empty.)
-                if self.routers[l].sa_ready[out_port] == 0 {
+                if self.routers[node].sa_ready[out_port] == 0 {
                     continue;
                 }
                 let Some(SwitchGrant {
@@ -628,25 +629,25 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                     out_vc: ov,
                     slot,
                     ..
-                }) = P::pick_winner(&self.routers[l], out_port, num_vcs)
+                }) = P::pick_winner(&self.routers[node], out_port, num_vcs)
                 else {
                     // Input VCs were switch-ready for this output but
                     // no candidate could win (typically no downstream
                     // credit): the link idles under load.
-                    self.aux.probe.on_link_stall(node * PORTS + out_port);
+                    self.probe.on_link_stall(node * PORTS + out_port);
                     continue;
                 };
-                self.forwarded[l * PORTS + out_port] += 1;
-                self.aux.probe.on_link_flits(node * PORTS + out_port, 1);
-                let router = &mut self.routers[l];
+                self.forwarded[node * PORTS + out_port] += 1;
+                self.probe.on_link_flits(node * PORTS + out_port, 1);
+                let router = &mut self.routers[node];
                 router.rr_sa[out_port] = if slot + 1 == total { 0 } else { slot + 1 };
                 let flit = router.inputs[slot]
                     .q
                     .pop_front()
                     .expect("winner has a flit");
-                self.buffered[l] -= 1;
-                if self.buffered[l] == 0 {
-                    self.aux.router_work.remove(node);
+                self.buffered[node] -= 1;
+                if self.buffered[node] == 0 {
+                    self.router_work.remove(node);
                 }
                 if flit.kind.is_tail() {
                     let oslot = out_port * num_vcs + ov;
@@ -674,382 +675,71 @@ impl<P: RouterPolicy, Pr: Probe> ShardCtx<'_, P, Pr> {
                 // Return the freed input-slot credit upstream.
                 let due = now + self.params.credit_delay;
                 let in_port = slot / num_vcs;
-                if in_port == LOCAL {
-                    self.aux.credits_in_flight.push(due, (node, LOCAL, v));
+                let (up, up_port) = if in_port == LOCAL {
+                    (node, LOCAL)
                 } else {
-                    let (up, up_port) = self.link.upstream(node, in_port);
-                    if self.range.contains(up) {
-                        self.aux.credits_in_flight.push(due, (up, up_port, v));
-                    } else {
-                        self.aux
-                            .credit_out
-                            .push(self.shard_of[up] as usize, (up, up_port, v));
-                    }
-                }
+                    self.link.upstream(node, in_port)
+                };
+                self.credits_in_flight.push(due, (up, up_port, v));
                 if out_port == LOCAL {
-                    // Ejection accounting (slab removal, policy hooks,
-                    // the delivery list) is serialized at the barrier;
-                    // pushes here are in ascending node order.
-                    self.aux.ejects.push(flit);
+                    self.eject(flit, now, out);
                 } else {
                     let (next, in_port) = self.link.downstream(node, out_port);
-                    let widx = next * PORTS + in_port;
-                    if self.range.contains(next) {
-                        self.aux
-                            .wires
-                            .push(widx, now + self.params.hop_latency, (ov, flit));
-                    } else {
-                        self.aux
-                            .wire_out
-                            .push(self.shard_of[next] as usize, (widx, (ov, flit)));
-                    }
+                    self.wires.push(
+                        next * PORTS + in_port,
+                        now + self.params.hop_latency,
+                        (ov, flit),
+                    );
                 }
             }
         }
     }
-}
 
-/// The complete credit-based VC datapath, parameterized by a
-/// [`RouterPolicy`].
-///
-/// Cycle processing order:
-///
-/// 1. the policy's serial [`RouterPolicy::pre_inject`] hook runs,
-/// 2. every shard (all nodes, [`VcParams::threads`] shards stepped
-///    concurrently) then runs, per router:
-///    1. link arrivals are written into input VC buffers,
-///    2. returned credits are applied (releasing drained VCs under
-///       [`RouterPolicy::DRAIN_BEFORE_REUSE`]),
-///    3. NICs stream source-queue packets into their router's local
-///       input port (one flit/cycle, one VC per packet; packet order
-///       from the policy),
-///    4. route computation for new head flits,
-///    5. VC allocation (policy),
-///    6. switch allocation (policy) + traversal: each output port
-///       forwards at most one flit, consuming a credit; the freed
-///       input slot's credit travels upstream with a configurable
-///       delay,
-/// 3. the cycle barrier merges cross-shard flits/credits in ascending
-///    global link index order and applies deferred injection stamps
-///    and ejections in ascending node order.
-///
-/// All iteration is in ascending node/link index order with live
-/// worklist semantics, bit-identical to the full scans it replaced —
-/// at any shard count (see [`crate::par`] for the argument).
-#[derive(Debug, Clone)]
-pub struct VcFabric<P: RouterPolicy, Pr: Probe = NoopProbe> {
-    policy: P,
-    /// The fabric-level telemetry probe. Serial-phase events (packet
-    /// admission, ejection, end-of-cycle) land here; per-shard events
-    /// land in each shard's fork and merge in [`VcFabric::into_probe`].
-    probe: Pr,
-    params: VcParams,
-    link: LinkMap,
-    cycle: u64,
-    routers: Vec<VcRouter<P::Tag>>,
-    nics: Vec<VcNic<P::Tag>>,
-    /// Per-node source queues (policy-defined order).
-    sources: Vec<P::Source>,
-    tracker: EjectTracker,
-    /// Flits forwarded per output link, index `node * PORTS + port`.
-    forwarded: Vec<u64>,
-    /// Buffered input flits per router (maintains the shards'
-    /// `router_work`).
-    buffered: Vec<u32>,
-    /// Contiguous node ranges, one per shard.
-    ranges: Vec<ShardRange>,
-    /// Node → shard index.
-    shard_of: Vec<u32>,
-    /// Shard-owned stepping state (always at least one shard; the
-    /// single-threaded path is the one-shard case with no pool).
-    shards: Vec<ShardState<P, Pr>>,
-    /// Worker pool, present only when `threads > 1`.
-    pool: Option<WorkerPool>,
-    /// Relay for policy wake-ups (see [`PolicyCtx::woken`]).
-    woken: Vec<usize>,
-    /// Barrier merge scratch for cross-shard flits.
-    wire_scratch: Vec<WirePush<P::Tag>>,
-    /// Barrier merge scratch for cross-shard credits.
-    credit_scratch: Vec<(usize, usize, usize)>,
-}
-
-impl<P: RouterPolicy> VcFabric<P> {
-    /// Builds the datapath for `params`, scheduled by `policy`, with
-    /// telemetry disabled ([`NoopProbe`] — zero cost, bit-identical
-    /// to a build without probe plumbing).
-    pub fn new(params: VcParams, policy: P) -> Self {
-        Self::with_probe(params, policy, NoopProbe)
-    }
-}
-
-impl<P: RouterPolicy, Pr: Probe> VcFabric<P, Pr> {
-    /// Builds the datapath for `params`, scheduled by `policy`,
-    /// reporting telemetry events to `probe` (each shard gets a
-    /// [`Probe::fork`]; retrieve the merged result with
-    /// [`VcFabric::into_probe`] after the run).
-    pub fn with_probe(params: VcParams, policy: P, probe: Pr) -> Self {
-        let n = params.topo.num_nodes();
-        let ranges = partition(n, params.threads);
-        let k = ranges.len();
-        VcFabric {
-            link: LinkMap::new(params.topo, params.routing),
-            routers: (0..n)
-                .map(|_| VcRouter::new(params.num_vcs, params.vc_capacity))
-                .collect(),
-            nics: (0..n)
-                .map(|_| VcNic::new(params.num_vcs, params.vc_capacity))
-                .collect(),
-            sources: (0..n).map(|_| policy.new_source()).collect(),
-            tracker: EjectTracker::new(),
-            forwarded: vec![0; n * PORTS],
-            buffered: vec![0; n],
-            shard_of: shard_map(&ranges),
-            shards: (0..k)
-                .map(|_| ShardState::new(n, k, &params, probe.fork()))
-                .collect(),
-            pool: (k > 1).then(|| WorkerPool::new(k - 1)),
-            ranges,
-            woken: Vec::new(),
-            wire_scratch: Vec::new(),
-            credit_scratch: Vec::new(),
-            cycle: 0,
-            policy,
-            probe,
-            params,
-        }
-    }
-
-    /// Consumes the fabric, merging every shard's probe fork into the
-    /// main probe (ascending shard order — the deterministic merge
-    /// order telemetry shard-invariance relies on) and returning it.
-    #[must_use]
-    pub fn into_probe(self) -> Pr {
-        let mut probe = self.probe;
-        for shard in self.shards {
-            probe.absorb(shard.probe);
-        }
-        probe
-    }
-
-    /// The scheduling policy.
-    #[must_use]
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-
-    /// Flits forwarded so far on the output link `(node, dir)` —
-    /// divide by elapsed cycles for the link utilization.
-    #[must_use]
-    pub fn link_flits(&self, node: NodeId, dir: Direction) -> u64 {
-        self.forwarded[node.index() * PORTS + dir.index()]
-    }
-
-    /// Inserts every node the last policy hook woke into its shard's
-    /// NIC worklist.
-    fn apply_woken(&mut self) {
-        let Self {
-            woken,
-            shards,
-            shard_of,
-            ..
-        } = self;
-        for node in woken.drain(..) {
-            shards[shard_of[node] as usize].nic_work.insert(node);
-        }
-    }
-
-    /// Steps every shard sequentially on the calling thread (the
-    /// `threads == 1` path — same phase code as the parallel path,
-    /// no pool, no unsafe).
-    fn step_shards_serial(&mut self, now: u64) {
-        for s in 0..self.shards.len() {
-            let range = self.ranges[s];
-            let Self {
-                routers,
-                nics,
-                sources,
-                buffered,
-                forwarded,
-                shards,
-                tracker,
-                link,
-                params,
-                shard_of,
-                ..
-            } = self;
-            ShardCtx::<P, Pr> {
-                range,
-                routers: &mut routers[range.lo..range.hi],
-                nics: &mut nics[range.lo..range.hi],
-                sources: &mut sources[range.lo..range.hi],
-                buffered: &mut buffered[range.lo..range.hi],
-                forwarded: &mut forwarded[range.lo * PORTS..range.hi * PORTS],
-                aux: &mut shards[s],
-                tracker,
-                link: *link,
-                params: *params,
-                shard_of,
-            }
-            .run_cycle(now);
-        }
-    }
-
-    /// Steps all shards concurrently on the worker pool.
-    fn step_shards_parallel(&mut self, now: u64) {
-        let routers = SendPtr::new(self.routers.as_mut_ptr());
-        let nics = SendPtr::new(self.nics.as_mut_ptr());
-        let sources = SendPtr::new(self.sources.as_mut_ptr());
-        let buffered = SendPtr::new(self.buffered.as_mut_ptr());
-        let forwarded = SendPtr::new(self.forwarded.as_mut_ptr());
-        let shards = SendPtr::new(self.shards.as_mut_ptr());
-        let ranges: &[ShardRange] = &self.ranges;
-        let shard_of: &[u32] = &self.shard_of;
-        let tracker: &EjectTracker = &self.tracker;
-        let link = self.link;
-        let params = self.params;
-        let k = ranges.len();
-        let pool = self.pool.as_mut().expect("parallel step without a pool");
-        pool.run(k, &|s| {
-            let range = ranges[s];
-            let lo = range.lo;
-            let len = range.len();
-            // SAFETY: shard ranges are disjoint and cover `0..n`, and
-            // the pool hands each shard index to exactly one task, so
-            // the slices below never overlap across concurrent tasks;
-            // `pool.run` returns only after every task (and worker)
-            // has left the job, so no access outlives the borrows the
-            // pointers were created from. `SendPtr` requires the
-            // pointee to be `Send`, which the `RouterPolicy`
-            // associated-type bounds guarantee.
-            let mut ctx = unsafe {
-                ShardCtx::<P, Pr> {
-                    range,
-                    routers: std::slice::from_raw_parts_mut(routers.get().add(lo), len),
-                    nics: std::slice::from_raw_parts_mut(nics.get().add(lo), len),
-                    sources: std::slice::from_raw_parts_mut(sources.get().add(lo), len),
-                    buffered: std::slice::from_raw_parts_mut(buffered.get().add(lo), len),
-                    forwarded: std::slice::from_raw_parts_mut(
-                        forwarded.get().add(lo * PORTS),
-                        len * PORTS,
-                    ),
-                    aux: &mut *shards.get().add(s),
-                    tracker,
-                    link,
-                    params,
-                    shard_of,
-                }
-            };
-            ctx.run_cycle(now);
-        });
-    }
-
-    /// The cycle barrier: merge cross-shard traffic (ascending global
-    /// link index order), then apply deferred injection stamps and
-    /// ejections in ascending node order — reproducing exactly the
-    /// single-threaded event order.
-    fn barrier(&mut self, now: u64, out: &mut Vec<Packet>) {
-        let k = self.shards.len();
-        if k > 1 {
-            let hop_due = now + self.params.hop_latency;
-            let credit_due = now + self.params.credit_delay;
-            for shard in &mut self.shards {
-                shard.wire_out.flip();
-                shard.credit_out.flip();
-            }
-            for dst in 0..k {
-                debug_assert!(self.wire_scratch.is_empty() && self.credit_scratch.is_empty());
-                for src in 0..k {
-                    if src != dst {
-                        self.wire_scratch
-                            .append(self.shards[src].wire_out.lane_mut(dst));
-                        self.credit_scratch
-                            .append(self.shards[src].credit_out.lane_mut(dst));
-                    }
-                }
-                // At most one flit enters a given wire per cycle (each
-                // wire has a single upstream producer), so link
-                // indices are unique and this order is total. The same
-                // holds for credits per (node, port, vc) — and credit
-                // application is commutative besides.
-                self.wire_scratch.sort_unstable_by_key(|&(widx, _)| widx);
-                self.credit_scratch.sort_unstable();
-                let shard = &mut self.shards[dst];
-                for (widx, item) in self.wire_scratch.drain(..) {
-                    shard.wires.push(widx, hop_due, item);
-                }
-                for c in self.credit_scratch.drain(..) {
-                    shard.credits_in_flight.push(credit_due, c);
-                }
-            }
-        }
+    /// Ejection accounting for a flit leaving through a local port:
+    /// policy hooks, reassembly, and delivery of a completed packet.
+    fn eject(&mut self, flit: VcFlit<P::Tag>, now: u64, out: &mut Vec<Packet>) {
+        self.policy.on_eject_flit(&flit);
+        let total = self.tracker.packet(flit.pref).len_flits;
+        if let Some(packet) = self
+            .tracker
+            .on_piece(flit.dst.index(), flit.pref, total, now)
         {
-            // Injection stamps before ejections: a source-equals-
-            // destination packet can inject and eject in one cycle.
-            let Self {
-                shards, tracker, ..
-            } = self;
-            for shard in shards.iter_mut() {
-                for pref in shard.stamps.drain(..) {
-                    tracker.packet_mut(pref).injected_at = Some(now);
-                }
-            }
-        }
-        for s in 0..k {
-            for i in 0..self.shards[s].ejects.len() {
-                let flit = self.shards[s].ejects[i];
-                self.policy.on_eject_flit(&flit);
-                let total = self.tracker.packet(flit.pref).len_flits;
-                if let Some(packet) = self
-                    .tracker
-                    .on_piece(flit.dst.index(), flit.pref, total, now)
-                {
-                    self.policy.on_eject_packet(packet.id);
-                    self.probe.on_delivered(&packet);
-                    out.push(packet);
-                }
-            }
-            self.shards[s].ejects.clear();
+            self.policy.on_eject_packet(packet.id);
+            self.probe.on_delivered(&packet);
+            out.push(packet);
         }
     }
 
     /// Full-scan cross-check of every worklist invariant (debug
     /// builds only): the active sets must contain exactly the indices
-    /// a naive scan would find work at, and all barrier buffers must
-    /// be empty between cycles.
+    /// a naive scan would find work at.
     #[cfg(debug_assertions)]
     fn debug_verify_worklists(&self) {
-        for (s, shard) in self.shards.iter().enumerate() {
-            shard.wires.debug_verify();
-            debug_assert!(shard.wire_out.is_clear(), "wire outbox not drained");
-            debug_assert!(shard.credit_out.is_clear(), "credit outbox not drained");
-            debug_assert!(shard.ejects.is_empty(), "ejects not applied");
-            debug_assert!(shard.stamps.is_empty(), "stamps not applied");
-            let range = self.ranges[s];
-            for n in range.lo..range.hi {
-                let nic = &self.nics[n];
-                let active = nic.current.is_some() || !P::source_idle(&self.sources[n]);
-                debug_assert_eq!(shard.nic_work.contains(n), active, "nic_work[{n}]");
-                let router = &self.routers[n];
-                let count: u32 = router.inputs.iter().map(|buf| buf.q.len() as u32).sum();
-                debug_assert_eq!(self.buffered[n], count, "buffered[{n}]");
-                debug_assert_eq!(shard.router_work.contains(n), count > 0, "router_work[{n}]");
-                let mut routed = [0u32; PORTS];
-                let mut va_req = [0u64; PORTS];
-                let mut sa_ready = [0u64; PORTS];
-                for (slot, buf) in router.inputs.iter().enumerate() {
-                    if let Some(out) = buf.route {
-                        routed[out] += 1;
-                        if buf.out_vc.is_none() {
-                            va_req[out] |= 1u64 << slot;
-                        } else if !buf.q.is_empty() {
-                            sa_ready[out] |= 1u64 << slot;
-                        }
+        self.wires.debug_verify();
+        for n in 0..self.routers.len() {
+            let nic = &self.nics[n];
+            let active = nic.current.is_some() || !P::source_idle(&self.sources[n]);
+            debug_assert_eq!(self.nic_work.contains(n), active, "nic_work[{n}]");
+            let router = &self.routers[n];
+            let count: u32 = router.inputs.iter().map(|buf| buf.q.len() as u32).sum();
+            debug_assert_eq!(self.buffered[n], count, "buffered[{n}]");
+            debug_assert_eq!(self.router_work.contains(n), count > 0, "router_work[{n}]");
+            let mut routed = [0u32; PORTS];
+            let mut va_req = [0u64; PORTS];
+            let mut sa_ready = [0u64; PORTS];
+            for (slot, buf) in router.inputs.iter().enumerate() {
+                if let Some(out) = buf.route {
+                    routed[out] += 1;
+                    if buf.out_vc.is_none() {
+                        va_req[out] |= 1u64 << slot;
+                    } else if !buf.q.is_empty() {
+                        sa_ready[out] |= 1u64 << slot;
                     }
                 }
-                debug_assert_eq!(router.routed, routed, "routed[{n}]");
-                debug_assert_eq!(router.va_req, va_req, "va_req[{n}]");
-                debug_assert_eq!(router.sa_ready, sa_ready, "sa_ready[{n}]");
             }
+            debug_assert_eq!(router.routed, routed, "routed[{n}]");
+            debug_assert_eq!(router.va_req, va_req, "va_req[{n}]");
+            debug_assert_eq!(router.sa_ready, sa_ready, "sa_ready[{n}]");
         }
     }
 }
@@ -1066,26 +756,23 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
     fn enqueue(&mut self, packet: Packet) {
         let node = packet.src.index();
         self.probe.on_generated(&packet);
-        {
-            let Self {
-                policy,
-                tracker,
+        let Self {
+            policy,
+            tracker,
+            sources,
+            nic_work,
+            ..
+        } = self;
+        let pref = tracker.admit(packet);
+        policy.on_enqueue(
+            node,
+            pref,
+            &mut PolicyCtx {
+                packets: tracker,
                 sources,
-                woken,
-                ..
-            } = self;
-            let pref = tracker.admit(packet);
-            policy.on_enqueue(
-                node,
-                pref,
-                &mut PolicyCtx {
-                    packets: tracker,
-                    sources,
-                    woken,
-                },
-            );
-        }
-        self.apply_woken();
+                woken: nic_work,
+            },
+        );
     }
 
     fn step(&mut self, out: &mut Vec<Packet>) {
@@ -1098,7 +785,7 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
                 policy,
                 tracker,
                 sources,
-                woken,
+                nic_work,
                 ..
             } = self;
             policy.pre_inject(
@@ -1106,17 +793,17 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
                 &mut PolicyCtx {
                     packets: tracker,
                     sources,
-                    woken,
+                    woken: nic_work,
                 },
             );
         }
-        self.apply_woken();
-        if self.pool.is_some() {
-            self.step_shards_parallel(now);
-        } else {
-            self.step_shards_serial(now);
-        }
-        self.barrier(now, out);
+        self.sample_occupancy(now);
+        self.deliver_arrivals(now);
+        self.apply_credits(now);
+        self.nic_inject(now);
+        self.route_compute();
+        self.vc_allocate();
+        self.switch_traverse(now, out);
         self.probe.on_cycle(now);
         self.cycle = now + 1;
         debug_assert_delivered_once(out, delivered_before);
@@ -1132,26 +819,24 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
     /// Everything a quiescent per-cycle run would still do is
     /// replicated exactly: the policy's per-cycle clock via
     /// [`RouterPolicy::fast_forward`], all-zero occupancy samples at
-    /// every due telemetry window (same shard/router/slot emission
-    /// order as `ShardCtx::sample_occupancy`), and the main probe's
-    /// cycle count via [`Probe::tick_many`]. With telemetry disabled
+    /// every due telemetry window (same router/slot emission order as
+    /// `sample_occupancy`), and the probe's cycle count via
+    /// [`Probe::tick_many`]. With telemetry disabled
     /// (`Pr::ENABLED == false`) the sample loop is statically removed
     /// and the jump is O(1).
     fn fast_forward(&mut self, cycles: u64) -> u64 {
-        if cycles == 0 || !self.tracker.is_empty() {
+        if cycles == 0
+            || !self.tracker.is_empty()
+            || self.wires.any_active()
+            || !self.credits_in_flight.is_empty()
+        {
             return 0;
         }
-        for shard in &self.shards {
-            if shard.wires.any_active() || !shard.credits_in_flight.is_empty() {
-                return 0;
-            }
-        }
         #[cfg(debug_assertions)]
-        for (s, shard) in self.shards.iter().enumerate() {
-            debug_assert!(shard.nic_work.is_empty(), "quiescent NIC worklist");
-            debug_assert!(shard.router_work.is_empty(), "quiescent router worklist");
-            let range = self.ranges[s];
-            for n in range.lo..range.hi {
+        {
+            debug_assert!(self.nic_work.is_empty(), "quiescent NIC worklist");
+            debug_assert!(self.router_work.is_empty(), "quiescent router worklist");
+            for n in 0..self.routers.len() {
                 debug_assert!(self.nics[n].current.is_none(), "NIC streaming mid-jump");
                 debug_assert!(P::source_idle(&self.sources[n]), "source queue not idle");
                 debug_assert_eq!(self.buffered[n], 0, "buffered flits mid-jump");
@@ -1164,19 +849,15 @@ impl<P: RouterPolicy, Pr: Probe> Network for VcFabric<P, Pr> {
         let now = self.cycle;
         self.policy.fast_forward(now, cycles);
         if Pr::ENABLED {
-            let num_vcs = self.params.num_vcs;
+            let slots = PORTS * self.params.num_vcs;
             for c in now..now + cycles {
-                for (s, shard) in self.shards.iter_mut().enumerate() {
-                    if !shard.probe.sample_due(c) {
-                        continue;
-                    }
-                    let range = self.ranges[s];
-                    for node in range.lo..range.hi {
-                        let base = node * PORTS;
-                        for slot in 0..PORTS * num_vcs {
-                            let port = slot / num_vcs;
-                            shard.probe.on_occupancy(BufKind::Vc, base + port, 0);
-                        }
+                if !self.probe.sample_due(c) {
+                    continue;
+                }
+                for node in 0..self.routers.len() {
+                    for slot in 0..slots {
+                        let port = slot / self.params.num_vcs;
+                        self.probe.on_occupancy(BufKind::Vc, node * PORTS + port, 0);
                     }
                 }
             }

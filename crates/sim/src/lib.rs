@@ -14,8 +14,8 @@
 //! * [`stats`] — latency/throughput statistics with warmup handling,
 //! * [`telemetry`] — the zero-cost [`telemetry::Probe`] interface:
 //!   per-link/per-buffer/per-flow observability monomorphized into
-//!   the fabric, free when disabled ([`telemetry::NoopProbe`]) and
-//!   shard-mergeable when live ([`telemetry::LiveProbe`]),
+//!   the fabric, free when disabled ([`telemetry::NoopProbe`]),
+//!   with [`telemetry::LiveProbe`] as the collecting implementation,
 //! * [`rng`] — small deterministic RNGs so every run is reproducible,
 //! * [`fxhash`] / [`worklist`] — allocation-light primitives for the
 //!   per-cycle hot loops (fast integer hashing, active-index bitsets),
@@ -46,6 +46,7 @@
 //! assert_eq!(dir, Direction::East);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -56,7 +57,6 @@ pub mod fabric;
 pub mod flit;
 pub mod flow;
 pub mod fxhash;
-pub mod par;
 pub mod rng;
 pub mod routing;
 pub mod slab;

@@ -149,18 +149,6 @@ impl Histogram {
         self.buckets[bucket] += 1;
     }
 
-    /// Adds every bucket of `other` into this histogram, as if the
-    /// two sample streams had been recorded into one. Used by the
-    /// telemetry layer to merge per-shard histograms at the barrier.
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (dst, &src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
-    }
-
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()

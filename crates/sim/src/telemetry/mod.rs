@@ -20,17 +20,6 @@
 //! service rate). [`LiveProbe::finish`] freezes it into a
 //! [`TelemetryReport`] with a versioned JSON export.
 //!
-//! # Sharding
-//!
-//! Probes compose with `--threads N` the same way the fabric does:
-//! each shard owns a [`Probe::fork`] of the main probe and only
-//! records events for its own node range, and the owner merges the
-//! forks back with [`Probe::absorb`] in ascending shard order — a
-//! fixed order, so floating-point accumulators merge deterministically
-//! and every counter is invariant across shard counts. Serial-phase
-//! events (packet generation, ejection, end-of-cycle) go straight to
-//! the main probe.
-//!
 //! [`VcFabric`]: crate::fabric::VcFabric
 
 mod live;
@@ -119,26 +108,10 @@ pub trait PacketProbe {
 /// Link arguments are global link indices: `node * PORTS + port`,
 /// with `port` the *output* direction at `node` (see
 /// [`crate::fabric::PORTS`]).
-pub trait Probe: PacketProbe + std::fmt::Debug + Send {
+pub trait Probe: PacketProbe + std::fmt::Debug {
     /// Whether this probe observes anything at all. `false` lets the
     /// fabric skip telemetry-only work at compile time.
     const ENABLED: bool;
-
-    /// Creates the per-shard instance handed to a parallel shard.
-    /// Forks start empty but share configuration (e.g. the sampling
-    /// window) with their parent.
-    #[must_use]
-    fn fork(&self) -> Self
-    where
-        Self: Sized;
-
-    /// Merges a shard instance back into the owner. Callers absorb
-    /// shards in ascending shard order, so order-sensitive
-    /// accumulators stay deterministic and shard-count invariant (each
-    /// shard only records events for its own disjoint node range).
-    fn absorb(&mut self, shard: Self)
-    where
-        Self: Sized;
 
     /// Whether buffer occupancy should be sampled at `cycle`.
     /// Components ask once per cycle and emit [`Probe::on_occupancy`]
@@ -227,14 +200,6 @@ impl Probe for NoopProbe {
     const ENABLED: bool = false;
 
     #[inline]
-    fn fork(&self) -> Self {
-        NoopProbe
-    }
-
-    #[inline]
-    fn absorb(&mut self, _shard: Self) {}
-
-    #[inline]
     fn tick_many(&mut self, _from: u64, _count: u64) {}
 }
 
@@ -263,8 +228,6 @@ mod tests {
         assert!(!p.sample_due(0));
         p.on_link_flits(0, 1);
         p.on_cycle(7);
-        let fork = p.fork();
-        p.absorb(fork);
         assert_eq!(p, NoopProbe);
     }
 }

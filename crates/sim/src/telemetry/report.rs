@@ -1,4 +1,4 @@
-//! The frozen output of a telemetry run: merged counters, QoS
+//! The frozen output of a telemetry run: counters, QoS
 //! summaries, and the versioned JSON export.
 
 use crate::stats::{Histogram, RunningStats};
@@ -82,12 +82,12 @@ pub struct FlowTelemetry {
     pub series: Vec<WindowPoint>,
 }
 
-/// A finished telemetry run: every counter merged across shards,
-/// occupancy summaries, per-flow series, and QoS roll-ups.
+/// A finished telemetry run: per-link counters, occupancy summaries,
+/// per-flow series, and QoS roll-ups.
 ///
-/// Derives `PartialEq` so shard-invariance tests can compare whole
-/// documents; all floating-point fields are produced by merges in a
-/// fixed order, so equality is exact, not approximate.
+/// Derives `PartialEq` so equivalence tests can compare whole
+/// documents; every floating-point field is accumulated in a fixed
+/// event order, so equality is exact, not approximate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryReport {
     /// Schema version of the JSON export

@@ -29,6 +29,7 @@
 //! # Ok::<(), noc_sim::ConfigError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

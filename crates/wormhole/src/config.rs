@@ -23,9 +23,6 @@ pub struct WormholeConfig {
     pub hop_latency: u64,
     /// Cycles for a credit to return upstream.
     pub credit_delay: u64,
-    /// Shards stepped concurrently each cycle (1 = single-threaded).
-    /// Results are bit-identical at every value; see `noc_sim::par`.
-    pub threads: usize,
 }
 
 impl WormholeConfig {
@@ -59,7 +56,6 @@ impl Default for WormholeConfig {
             vc_capacity: 4,
             hop_latency: 3,
             credit_delay: 1,
-            threads: 1,
         }
     }
 }

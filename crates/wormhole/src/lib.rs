@@ -19,6 +19,7 @@
 //! assert!(report.avg_latency() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -48,7 +48,7 @@ impl RouterPolicy for WormholePolicy {
 
     fn on_enqueue(&mut self, node: usize, pref: PacketRef, ctx: &mut PolicyCtx<'_, Self::Source>) {
         ctx.sources[node].push_back(pref);
-        ctx.woken.push(node);
+        ctx.woken.insert(node);
     }
 
     fn peek_source(source: &Self::Source) -> Option<PacketRef> {
@@ -134,7 +134,7 @@ impl WormholeNetwork {
 
 impl<Pr: Probe> WormholeNetwork<Pr> {
     /// Builds the network reporting telemetry events to `probe`;
-    /// retrieve the merged probe with
+    /// retrieve the probe with
     /// [`WormholeNetwork::into_probe`] after the run.
     pub fn with_probe(cfg: WormholeConfig, probe: Pr) -> Self {
         let params = VcParams {
@@ -144,7 +144,6 @@ impl<Pr: Probe> WormholeNetwork<Pr> {
             vc_capacity: cfg.vc_capacity,
             hop_latency: cfg.hop_latency,
             credit_delay: cfg.credit_delay,
-            threads: cfg.threads,
         };
         WormholeNetwork {
             cfg,
@@ -163,8 +162,7 @@ impl<Pr: Probe> WormholeNetwork<Pr> {
         self.fabric.link_flits(node, dir)
     }
 
-    /// Consumes the network, returning the telemetry probe with every
-    /// shard fork merged in deterministic order.
+    /// Consumes the network, returning its telemetry probe.
     #[must_use]
     pub fn into_probe(self) -> Pr {
         self.fabric.into_probe()

@@ -4,25 +4,22 @@
 //! histogram) *and* the full [`TelemetryReport`] (counters, occupancy
 //! accumulators, per-flow series) must be bit-identical with the fast
 //! path on or off, for every network × {mesh, torus, ring} ×
-//! {uniform-low, bursty, regulated} × {1, 2, 4} shards.
+//! {uniform-low, bursty, regulated}.
 //!
-//! The ff-off single-shard run is the oracle; each ff-on run at every
-//! shard count must reproduce it exactly (the fast-forward decision
-//! is shard-global, so sharding must not change where jumps land).
-//! On the quiescence-heavy workloads the suite also asserts the fast
-//! path actually engaged — an equivalence test that never jumps is
-//! vacuous.
+//! The ff-off run is the oracle; two ff-on legs must reproduce it
+//! exactly. On the quiescence-heavy workloads the suite also asserts
+//! the fast path actually engaged — an equivalence test that never
+//! jumps is vacuous.
 //!
-//! The single-shard cells share one warmup: the cell warms up once
-//! into a [`noc_sim::Checkpoint`] (fast-forward off, so the oracle
-//! stays skip-free end to end) and both the ff-off oracle and the
-//! ff-on leg are forks of it. Checkpoint/fork bit-identity is proved
-//! separately (`checkpoint_equivalence.rs`, and against the golden
-//! pins in `golden_determinism.rs`), so the shared warmup does not
-//! weaken the oracle — it just stops paying for the same warmup
-//! twice. The 2- and 4-shard legs still run from scratch: the shard
-//! layout is part of network construction, so a 1-shard checkpoint
-//! cannot be forked into them.
+//! The oracle and the first ff-on leg share one warmup: the cell
+//! warms up once into a [`noc_sim::Checkpoint`] (fast-forward off, so
+//! the oracle stays skip-free end to end) and both are forks of it.
+//! Checkpoint/fork bit-identity is proved separately
+//! (`checkpoint_equivalence.rs`, and against the golden pins in
+//! `golden_determinism.rs`), so the shared warmup does not weaken the
+//! oracle — it just stops paying for the same warmup twice. The
+//! second ff-on leg runs from scratch, fast-forwarding through the
+//! warmup too.
 
 use loft::LoftConfig;
 use loft_bench::{
@@ -35,8 +32,8 @@ use noc_sim::{RunConfig, SimReport, Topology};
 use noc_traffic::{DestRule, InjectionProcess, Scenario};
 use noc_wormhole::WormholeConfig;
 
-/// Same shapes as the shard-invariance suites: small enough to stay
-/// fast, large enough for real cross-shard traffic at 4 shards.
+/// Small shapes of each topology kind, so the whole matrix stays
+/// fast.
 fn topologies() -> [Topology; 3] {
     [
         Topology::mesh(4, 4),
@@ -127,15 +124,15 @@ fn traffics() -> [(&'static str, fn(Topology) -> Scenario, bool); 3] {
 type Outcome = (SimReport, TelemetryReport, u64, u64);
 
 /// Runs the equivalence matrix for one network. `checkpoint` warms a
-/// single-shard cell up once (fast-forward off) and freezes it;
-/// `fork_leg` forks it with fast-forward on or off; `scratch` runs a
-/// multi-shard ff-on leg from scratch. The checkpoint type is opaque
-/// here — each network instantiates its own.
+/// cell up once (fast-forward off) and freezes it; `fork_leg` forks
+/// it with fast-forward on or off; `scratch` runs an ff-on leg from
+/// scratch. The checkpoint type is opaque here — each network
+/// instantiates its own.
 fn check_equivalence<K>(
     net: &str,
     checkpoint: impl Fn(&Scenario, Topology) -> K,
     fork_leg: impl Fn(&K, bool) -> Outcome,
-    scratch: impl Fn(&Scenario, Topology, usize) -> Outcome,
+    scratch: impl Fn(&Scenario, Topology) -> Outcome,
 ) {
     for topo in topologies() {
         for (traffic, build, must_skip) in traffics() {
@@ -155,59 +152,47 @@ fn check_equivalence<K>(
                          telemetry: TelemetryReport,
                          end: u64,
                          skipped: u64,
-                         threads: usize| {
+                         leg: &str| {
                 assert_eq!(
                     report, base_report,
-                    "{ctx}: SimReport diverged at {threads} shards with fast-forward on"
+                    "{ctx}: SimReport diverged on the {leg} fast-forward leg"
                 );
                 assert_eq!(
                     telemetry, base_telemetry,
-                    "{ctx}: TelemetryReport diverged at {threads} shards with fast-forward on"
+                    "{ctx}: TelemetryReport diverged on the {leg} fast-forward leg"
                 );
                 assert_eq!(
                     end, base_end,
-                    "{ctx}: drain terminated at a different cycle at {threads} shards"
+                    "{ctx}: drain terminated at a different cycle on the {leg} leg"
                 );
                 if must_skip {
                     assert!(
                         skipped > 0,
-                        "{ctx}: fast path never engaged at {threads} shards — \
+                        "{ctx}: fast path never engaged on the {leg} leg — \
                          quiescence-heavy workload should jump"
                     );
                 }
             };
-            // The single-shard ff-on leg forks the oracle's warmup.
             let (report, telemetry, end, skipped) = fork_leg(&ckpt, true);
-            check(report, telemetry, end, skipped, 1);
-            for threads in [2, 4] {
-                let (report, telemetry, end, skipped) = scratch(&scenario, topo, threads);
-                check(report, telemetry, end, skipped, threads);
-            }
+            check(report, telemetry, end, skipped, "forked");
+            let (report, telemetry, end, skipped) = scratch(&scenario, topo);
+            check(report, telemetry, end, skipped, "from-scratch");
         }
     }
 }
 
-fn loft_cfg(topo: Topology, threads: usize) -> LoftConfig {
+fn loft_cfg(topo: Topology) -> LoftConfig {
     LoftConfig {
-        threads,
         frame_size: 64,
         nonspec_buffer: 64,
         ..LoftConfig::on(topo)
     }
 }
 
-fn gsf_cfg(topo: Topology, threads: usize) -> GsfConfig {
+fn gsf_cfg(topo: Topology) -> GsfConfig {
     GsfConfig {
-        threads,
         frame_size: 200,
         ..GsfConfig::on(topo)
-    }
-}
-
-fn wormhole_cfg(topo: Topology, threads: usize) -> WormholeConfig {
-    WormholeConfig {
-        threads,
-        ..WormholeConfig::on(topo)
     }
 }
 
@@ -215,14 +200,13 @@ fn wormhole_cfg(topo: Topology, threads: usize) -> WormholeConfig {
 fn loft_fast_forward_is_equivalent() {
     check_equivalence(
         "loft",
-        |s, topo| checkpoint_loft_telemetry(s, loft_cfg(topo, 1), run(), SEED, false),
+        |s, topo| checkpoint_loft_telemetry(s, loft_cfg(topo), run(), SEED, false),
         |c, ff| {
             let (r, n, i) = c.fork().with_fast_forward(ff).resume();
             (r, n.into_probe().finish(), i.end_cycle, i.skipped_cycles)
         },
-        |s, topo, threads| {
-            let (r, t, i) =
-                run_loft_telemetry_info(s, loft_cfg(topo, threads), run(), SEED, true, || {});
+        |s, topo| {
+            let (r, t, i) = run_loft_telemetry_info(s, loft_cfg(topo), run(), SEED, true, || {});
             (r, t, i.end_cycle, i.skipped_cycles)
         },
     );
@@ -232,14 +216,13 @@ fn loft_fast_forward_is_equivalent() {
 fn gsf_fast_forward_is_equivalent() {
     check_equivalence(
         "gsf",
-        |s, topo| checkpoint_gsf_telemetry(s, gsf_cfg(topo, 1), run(), SEED, false),
+        |s, topo| checkpoint_gsf_telemetry(s, gsf_cfg(topo), run(), SEED, false),
         |c, ff| {
             let (r, n, i) = c.fork().with_fast_forward(ff).resume();
             (r, n.into_probe().finish(), i.end_cycle, i.skipped_cycles)
         },
-        |s, topo, threads| {
-            let (r, t, i) =
-                run_gsf_telemetry_info(s, gsf_cfg(topo, threads), run(), SEED, true, || {});
+        |s, topo| {
+            let (r, t, i) = run_gsf_telemetry_info(s, gsf_cfg(topo), run(), SEED, true, || {});
             (r, t, i.end_cycle, i.skipped_cycles)
         },
     );
@@ -249,20 +232,14 @@ fn gsf_fast_forward_is_equivalent() {
 fn wormhole_fast_forward_is_equivalent() {
     check_equivalence(
         "wormhole",
-        |s, topo| checkpoint_wormhole_telemetry(s, wormhole_cfg(topo, 1), run(), SEED, false),
+        |s, topo| checkpoint_wormhole_telemetry(s, WormholeConfig::on(topo), run(), SEED, false),
         |c, ff| {
             let (r, n, i) = c.fork().with_fast_forward(ff).resume();
             (r, n.into_probe().finish(), i.end_cycle, i.skipped_cycles)
         },
-        |s, topo, threads| {
-            let (r, t, i) = run_wormhole_telemetry_info(
-                s,
-                wormhole_cfg(topo, threads),
-                run(),
-                SEED,
-                true,
-                || {},
-            );
+        |s, topo| {
+            let (r, t, i) =
+                run_wormhole_telemetry_info(s, WormholeConfig::on(topo), run(), SEED, true, || {});
             (r, t, i.end_cycle, i.skipped_cycles)
         },
     );

@@ -9,29 +9,24 @@
 //! If a pin moves, the change is a semantic change (and needs its own
 //! justification), not an optimization.
 //!
-//! Every pin runs at 1, 2, and 4 shards (`threads` in the configs):
-//! sharded parallel stepping must be bit-for-bit identical to the
-//! single-threaded engine, so the same pins are the oracle for the
-//! parallel path (see `noc_sim::par`). Each pin additionally runs
-//! once with quiescence fast-forward disabled — the default runners
-//! use the fast path, so the pair certifies that closed-form idle
-//! jumps and per-cycle stepping are observably the same simulation.
+//! Every pin runs three legs: one from scratch through the default
+//! runner (quiescence fast-forward on), and two forks of one shared
+//! warmup checkpoint, with fast-forward off and on. The pair of
+//! fast-forward settings certifies that closed-form idle jumps and
+//! per-cycle stepping are observably the same simulation.
 //!
 //! The plain runners used here build networks with the default
 //! telemetry probe (`noc_sim::telemetry::NoopProbe`), so these pins
 //! also certify that the telemetry-off configuration is bit-identical
 //! to a tree without the probe plumbing — the zero-cost half of the
-//! telemetry layer's contract (`telemetry_invariance.rs` checks the
+//! telemetry layer's contract (`telemetry_golden.rs` pins the
 //! telemetry-on half).
 //!
-//! The two single-shard legs (fast-forward on and off) fork one
-//! shared warmup [`noc_sim::Checkpoint`] instead of each re-running
-//! warmup, so every pin is also a checkpoint/fork oracle: a forked
-//! resume must land on the exact pinned bits, or forking perturbed
-//! the simulation. The checkpoint is captured with fast-forward off
-//! so the ff-off leg stays skip-free end to end; the multi-shard legs
-//! still run from scratch (the shard layout is part of network
-//! construction, so a 1-shard checkpoint cannot be forked into them).
+//! The forked legs share one warmup [`noc_sim::Checkpoint`] instead
+//! of each re-running warmup, so every pin is also a checkpoint/fork
+//! oracle: a forked resume must land on the exact pinned bits, or
+//! forking perturbed the simulation. The checkpoint is captured with
+//! fast-forward off so the ff-off leg stays skip-free end to end.
 
 use loft::LoftConfig;
 use loft_bench::{
@@ -41,10 +36,6 @@ use noc_gsf::GsfConfig;
 use noc_sim::RunConfig;
 use noc_traffic::Scenario;
 use noc_wormhole::WormholeConfig;
-
-/// The multi-shard counts every pin must reproduce exactly from
-/// scratch (the single-shard legs run via the shared checkpoint).
-const SCRATCH_THREADS: [usize; 2] = [2, 4];
 
 /// Asserts a report matches its pinned flit count and the exact IEEE
 /// bit pattern of its average latency.
@@ -60,17 +51,11 @@ fn check(report: &noc_sim::SimReport, flits: u64, latency_bits: u64) {
 }
 
 fn check_loft(scenario: &Scenario, run: RunConfig, flits: u64, latency_bits: u64) {
-    for threads in SCRATCH_THREADS {
-        let cfg = LoftConfig {
-            threads,
-            ..LoftConfig::default()
-        };
-        let r = run_loft(scenario, cfg, run, SEED);
-        check(&r, flits, latency_bits);
-    }
-    // Single-shard legs: one warmup, forked for both the plain
-    // per-cycle leg and the quiescence-fast-forward leg — the fast
-    // path and a forked resume must both land on the pinned bits.
+    let r = run_loft(scenario, LoftConfig::default(), run, SEED);
+    check(&r, flits, latency_bits);
+    // One warmup, forked for both the plain per-cycle leg and the
+    // quiescence-fast-forward leg — the fast path and a forked resume
+    // must both land on the pinned bits.
     let ckpt = checkpoint_loft(scenario, LoftConfig::default(), run, SEED, false);
     let (r, _, info) = ckpt.fork().resume();
     check(&r, flits, latency_bits);
@@ -83,14 +68,8 @@ fn check_loft(scenario: &Scenario, run: RunConfig, flits: u64, latency_bits: u64
 }
 
 fn check_gsf(scenario: &Scenario, run: RunConfig, flits: u64, latency_bits: u64) {
-    for threads in SCRATCH_THREADS {
-        let cfg = GsfConfig {
-            threads,
-            ..GsfConfig::default()
-        };
-        let r = run_gsf(scenario, cfg, run, SEED);
-        check(&r, flits, latency_bits);
-    }
+    let r = run_gsf(scenario, GsfConfig::default(), run, SEED);
+    check(&r, flits, latency_bits);
     let ckpt = checkpoint_gsf(scenario, GsfConfig::default(), run, SEED, false);
     let (r, _, info) = ckpt.fork().resume();
     check(&r, flits, latency_bits);
@@ -103,14 +82,8 @@ fn check_gsf(scenario: &Scenario, run: RunConfig, flits: u64, latency_bits: u64)
 }
 
 fn check_wormhole(scenario: &Scenario, run: RunConfig, flits: u64, latency_bits: u64) {
-    for threads in SCRATCH_THREADS {
-        let cfg = WormholeConfig {
-            threads,
-            ..WormholeConfig::default()
-        };
-        let r = run_wormhole(scenario, cfg, run, SEED);
-        check(&r, flits, latency_bits);
-    }
+    let r = run_wormhole(scenario, WormholeConfig::default(), run, SEED);
+    check(&r, flits, latency_bits);
     let ckpt = checkpoint_wormhole(scenario, WormholeConfig::default(), run, SEED, false);
     let (r, _, info) = ckpt.fork().resume();
     check(&r, flits, latency_bits);
