@@ -95,8 +95,8 @@ impl<T> DelayedWires<T> {
     }
 
     /// Whether any link has items in flight (a cheap bitset check;
-    /// lets callers skip a whole drain pass — or a pool dispatch —
-    /// when the wires are globally empty).
+    /// lets callers skip a whole drain pass when the wires are
+    /// globally empty).
     #[must_use]
     pub fn any_active(&self) -> bool {
         !self.work.is_empty()
