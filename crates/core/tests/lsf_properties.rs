@@ -189,3 +189,79 @@ fn sink_books_every_window_slot() {
         assert!(slots.len() >= (r.min(8) as usize));
     }
 }
+
+/// `advance_to(cp + k)` must leave exactly the state of `k`
+/// `advance_slot` calls — busy ring, credit deltas, `skipped`
+/// counters, flow entries, dirty mark and all — from any reachable
+/// state. The random walks include fresh (just reset) schedulers that
+/// hold returned credits or `skipped` yields, which are not yet quiet.
+#[test]
+fn advance_to_matches_stepped_advance() {
+    let mut rng = Xoshiro256::seed_from(0x15F_0004);
+    let mut fresh_with_state = 0;
+    for case in 0..32 {
+        let params = LsfParams {
+            frame_quanta: [4, 8][rng.next_below(2) as usize],
+            frame_window: 2 + rng.next_below(3) as u32,
+            flits_per_quantum: 1 + rng.next_below(2) as u32,
+            buffer_quanta: 8,
+            sink: rng.next_below(4) == 0,
+        };
+        let (f, w) = (params.frame_quanta as u64, params.window_quanta());
+        let q = params.flits_per_quantum;
+        let reservations: Vec<u32> = (0..1 + rng.next_below(3)).map(|_| q * 2).collect();
+        let mut s = LinkScheduler::new(params, &reservations);
+        let mut qid = 0u64;
+        // Set when a fresh scheduler takes a credit or a yield; a reset
+        // or a booking ends it.
+        let mut carries = false;
+        for step in 0..200 {
+            let cp = s.current_slot();
+            let was_fresh = s.is_fresh();
+            match rng.next_below(6) {
+                0 | 1 => {
+                    let flow = FlowId::new(rng.next_below(reservations.len() as u64) as u32);
+                    // Sometimes past the window: the flow yields every
+                    // frame to `skipped` and books nothing.
+                    let earliest = cp + 1 + rng.next_below(2 * w);
+                    let entry = PendingQuantum {
+                        flow,
+                        qid,
+                        in_port: 0,
+                        res_idx: 0,
+                    };
+                    qid += 1;
+                    carries |= s.schedule(flow, earliest, entry).is_none() && was_fresh;
+                }
+                2 => {
+                    s.return_credit(cp + rng.next_below(w + 2));
+                    carries |= was_fresh && !params.sink;
+                }
+                3 => {
+                    if let Some((slot, _)) = s.first_pending() {
+                        s.complete(slot);
+                    }
+                }
+                4 => {
+                    if s.can_reset() {
+                        s.local_reset();
+                        carries = false;
+                    }
+                }
+                _ => s.advance_slot(),
+            }
+            carries &= s.is_fresh();
+            fresh_with_state += u32::from(carries);
+            for k in [0, 1, 7, f - 1, f, w - 1, w, w + 1, 3 * w + 5] {
+                let mut stepped = s.clone();
+                for _ in 0..k {
+                    stepped.advance_slot();
+                }
+                let mut jumped = s.clone();
+                jumped.advance_to(s.current_slot() + k);
+                assert_eq!(stepped, jumped, "case {case} step {step} k={k}");
+            }
+        }
+    }
+    assert!(fresh_with_state > 0, "no fresh scheduler carried state");
+}
